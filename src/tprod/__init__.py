@@ -22,18 +22,15 @@ from .core import (
 )
 from .algebra import FormKind, adjoint, form_eval, identity, inverse, is_unitary, tprod
 from .spectral import (
-    FaceStack,
     PartialIsometrySet,
     TCsvd,
     TSvd,
     face_singular_values,
-    from_tensor,
     isometry,
     partial_isometries,
     projectors,
     t_eigenvalues,
     tcsvd,
-    to_tensor,
     tsvd,
 )
 from .genfun import (

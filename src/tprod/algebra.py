@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Tensor3, bcirc, conj_transpose, fnorm, fold, transpose, unfold
 from .errors import DimMismatch, Singular
-from .spectral import apply_facewise, default_rank_rtol, face_singular_values
+from .spectral import default_rank_rtol, from_faces, to_faces
 
 
 def identity(n, p) -> Tensor3:
@@ -31,11 +31,8 @@ def tprod(a: Tensor3, b: Tensor3, method="fft") -> Tensor3:
         return fold(bcirc(a) @ unfold(b), a.m, b.n, a.p)
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    fc = np.fft.fft(a.data, axis=0) @ np.fft.fft(b.data, axis=0)
-    out = np.fft.ifft(fc, axis=0)
-    if a.exactly_real and b.exactly_real:
-        out = out.real
-    return Tensor3(out)
+    half, (fa, fb) = to_faces(a, b)
+    return from_faces(fa @ fb, a.p, half)
 
 
 def inverse(a: Tensor3, tol_rank=None) -> Tensor3:
@@ -46,7 +43,8 @@ def inverse(a: Tensor3, tol_rank=None) -> Tensor3:
     """
     if a.m != a.n:
         raise DimMismatch(f"inverse needs an F-square tensor, got {a.shape}")
-    sv = face_singular_values(a)
+    half, (faces,) = to_faces(a)
+    sv = np.linalg.svd(faces, compute_uv=False)
     smax = float(sv.max())
     rtol = default_rank_rtol(a.m, a.n, a.p) if tol_rank is None else float(tol_rank)
     smin_per_face = sv[:, -1]
@@ -57,7 +55,7 @@ def inverse(a: Tensor3, tol_rank=None) -> Tensor3:
             face=worst,
             smin=float(smin_per_face[worst]),
         )
-    return apply_facewise(a, lambda face, i: np.linalg.inv(face))
+    return from_faces(np.linalg.inv(faces), a.p, half)
 
 
 def is_unitary(q: Tensor3, tol=1e-10) -> bool:

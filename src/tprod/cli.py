@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as tio
 from .algebra import tprod
-from .core import Tensor3, bcirc, conj_transpose, fnorm, fold, specnorm
+from .core import Tensor3, bcirc, conj_transpose, fnorm, fold
 from .errors import FileFormatError, FnDomainError, TprodError, UnsupportedClass
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
 from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
@@ -30,28 +30,20 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _read(path):
-    return tio.read_tensor(path)
-
-
-def _write(path, t, text=False):
-    tio.write_tensor(path, t, text=text)
-
-
 def cmd_info(args):
-    a = _read(args.path)
+    a = tio.read_tensor(args.path)
     c = tcsvd(a)
     print(f"dims: {a.m} x {a.n} x {a.p}")
     print(f"dtype: {'real64' if a.exactly_real else 'complex128'}")
     print(f"fnorm: {fnorm(a):.12g}")
-    print(f"specnorm: {specnorm(a):.12g}")
+    print(f"specnorm: {c.sigma.max() if c.sigma.size else 0.0:.12g}")
     print(f"tubal rank: {c.r}")
     print(f"face ranks: {' '.join(str(r) for r in c.face_ranks)}")
     return EXIT_OK
 
 
 def cmd_decompose(args):
-    a = _read(args.path)
+    a = tio.read_tensor(args.path)
     c = tcsvd(a) if args.compact else None
     if args.compact:
         u, s, v = c.Ur, c.Sr, c.Vr
@@ -63,9 +55,9 @@ def cmd_decompose(args):
     rec = tprod(u, tprod(s, conj_transpose(v)))
     residual = fnorm(rec - a) / max(fnorm(a), 1e-300)
     prefix = args.out_prefix
-    _write(f"{prefix}_U.tt3a", u, text=args.text)
-    _write(f"{prefix}_S.tt3a", s, text=args.text)
-    _write(f"{prefix}_V.tt3a", v, text=args.text)
+    tio.write_tensor(f"{prefix}_U.tt3a", u, text=args.text)
+    tio.write_tensor(f"{prefix}_S.tt3a", s, text=args.text)
+    tio.write_tensor(f"{prefix}_V.tt3a", v, text=args.text)
     print(f"reconstruction residual: {residual:.3e}")
     if args.compact:
         print(f"tubal rank: {c.r}")
@@ -83,7 +75,7 @@ def _resolve_fn(args):
 
 
 def cmd_apply(args):
-    a = _read(args.path)
+    a = tio.read_tensor(args.path)
     f = _resolve_fn(args)
     generalized = not args.standard
     if generalized:
@@ -105,35 +97,35 @@ def cmd_apply(args):
     if args.method != "spectral":
         diff = fnorm(out - reference) / max(fnorm(reference), 1e-300)
         print(f"cross-check vs spectral: {diff:.3e}")
-    _write(args.out, out, text=args.text)
+    tio.write_tensor(args.out, out, text=args.text)
     return EXIT_OK
 
 
 def cmd_pinv(args):
-    a = _read(args.path)
-    _write(args.out, pinv(a), text=args.text)
+    a = tio.read_tensor(args.path)
+    tio.write_tensor(args.out, pinv(a), text=args.text)
     return EXIT_OK
 
 
 def cmd_solve(args):
-    a = _read(args.A)
-    b = _read(args.B)
-    d = _read(args.D)
+    a = tio.read_tensor(args.A)
+    b = tio.read_tensor(args.B)
+    d = tio.read_tensor(args.D)
     res = solve_axb(a, b, d)
     print(f"consistency residual: {res.residual:.3e}")
-    _write(args.out, res.x, text=args.text)
+    tio.write_tensor(args.out, res.x, text=args.text)
     return EXIT_OK
 
 
 def cmd_lstsq(args):
-    a = _read(args.A)
-    b = _read(args.B)
-    _write(args.out, lstsq(a, b), text=args.text)
+    a = tio.read_tensor(args.A)
+    b = tio.read_tensor(args.B)
+    tio.write_tensor(args.out, lstsq(a, b), text=args.text)
     return EXIT_OK
 
 
 def cmd_check(args):
-    a = _read(args.path)
+    a = tio.read_tensor(args.path)
     cls = StructClass.parse(args.cls)
     ok, residual = is_member(a, cls, tol=args.tol)
     print(f"membership[{cls.name}]: residual {residual:.3e} -> {'ok' if ok else 'FAIL'}")

@@ -279,7 +279,7 @@ def gfun(a: Tensor3, f: ScalarFn, tol_rank=None) -> Tensor3:
     if c.r == 0:
         return Tensor3.zeros(a.m, a.n, a.p)
     vals = _window_values(f, c)
-    return c.rebuild_from_values(vals, real_values=bool(np.all(vals.imag == 0.0)))
+    return c.rebuild(vals if vals.imag.any() else vals.real)
 
 
 def _matrix_series(d, f, face_index):
@@ -343,7 +343,8 @@ def standard_tfn(a: Tensor3, f: ScalarFn, cond_limit=1e8, force_series=False) ->
         raise DimMismatch(f"standard T-function needs an F-square tensor, got {a.shape}")
     return apply_facewise(
         a,
-        lambda face, i: _matrix_function(face, f, i, cond_limit, force_series),
+        lambda faces: [_matrix_function(d, f, i, cond_limit, force_series)
+                       for i, d in enumerate(faces)],
         conj_equivariant=_looks_real_analytic(f),
     )
 
@@ -422,7 +423,8 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
             raise NoConvergence(
                 f"hit {max_terms} terms with relative term size {max(ratio, prev_ratio):.3g}"
             )
-    return c.rebuild_from_values(acc, real_values=bool(np.all(np.abs(acc.imag) <= 1e-13 * (1 + np.abs(acc)))))
+    real = np.all(np.abs(acc.imag) <= 1e-13 * (1 + np.abs(acc)))
+    return c.rebuild(acc.real if real else acc)
 
 
 def named_gfun(a: Tensor3, name, tol_rank=None) -> Tensor3:

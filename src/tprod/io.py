@@ -8,10 +8,15 @@ Text layout: first line ``m n p dtype``; then p blocks of m lines of n
 whitespace-separated values. Complex entries are written ``a+bi`` with
 shortest round-trip decimals, so text and binary forms carry identical
 values.
+
+Both readers reject a zero dimension and any non-finite value. The binary
+reader checks the payload size the header declares against the bytes left
+in the file before it reads.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 
@@ -49,16 +54,28 @@ def read_binary(path) -> Tensor3:
             raise FileFormatError(f"{path}: unsupported version {version}")
         if tag not in (DTYPE_REAL, DTYPE_COMPLEX):
             raise FileFormatError(f"{path}: unknown dtype tag {tag}")
+        _check_dims(path, m, n, p)
         itemsize = 8 if tag == DTYPE_REAL else 16
         want = m * n * p * itemsize
-        payload = fh.read(want + 1)
-        if len(payload) != want:
-            raise FileFormatError(
-                f"{path}: payload has {len(payload)} bytes, expected {want}"
-            )
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != want:
+            raise FileFormatError(f"{path}: payload has {left} bytes, expected {want}")
+        payload = fh.read(want)
     dt = "<f8" if tag == DTYPE_REAL else "<c16"
     flat = np.frombuffer(payload, dtype=dt)
-    return Tensor3(flat.reshape(p, m, n))
+    return _checked(path, flat.reshape(p, m, n))
+
+
+def _check_dims(path, m, n, p):
+    if min(m, n, p) <= 0:
+        raise FileFormatError(f"{path}: dims {m} x {n} x {p} must all be positive")
+
+
+def _checked(path, data) -> Tensor3:
+    """The tensor of ``data``, once every value is known to be finite."""
+    if not np.all(np.isfinite(data)):
+        raise FileFormatError(f"{path}: non-finite value")
+    return Tensor3(data)
 
 
 def _fmt_real(x):
@@ -112,6 +129,7 @@ def read_text(path) -> Tensor3:
         m, n, p = (int(v) for v in head[:3])
     except ValueError:
         raise FileFormatError(f"{path}: bad dims in header {lines[0]!r}") from None
+    _check_dims(path, m, n, p)
     complex_file = head[3] == "complex128"
     body = lines[1:]
     if len(body) != m * p:
@@ -125,7 +143,7 @@ def read_text(path) -> Tensor3:
                     f"{path}: line {k * m + i + 2} has {len(toks)} values, expected {n}"
                 )
             data[k, i] = [_parse_value(t, complex_file) for t in toks]
-    return Tensor3(data)
+    return _checked(path, data)
 
 
 def read_tensor(path) -> Tensor3:

@@ -21,7 +21,7 @@ from .errors import (
     ZeroSingularValue,
     ZeroSingularValueRequiresFZero,
 )
-from .spectral import TCsvd, _ifft_tensor, isometry, tcsvd
+from .spectral import TCsvd, from_faces, isometry, tcsvd, to_faces
 
 DEFAULT_NODES = 256
 _CLUSTER_RTOL = 1e-8
@@ -33,15 +33,10 @@ def pinv(a: Tensor3, tol_rank=None) -> Tensor3:
     Satisfies the four Penrose identities in the T-product sense.
     """
     c = tcsvd(a, tol_rank)
-    if c.r == 0:
-        return Tensor3.zeros(a.n, a.m, a.p)
     inv_vals = np.zeros(c.sigma.shape)
     pos = c.sigma > 0.0
     inv_vals[pos] = 1.0 / c.sigma[pos]
-    vf = c.vhf.conj().transpose(0, 2, 1)
-    ufh = c.uf.conj().transpose(0, 2, 1)
-    faces = (vf * inv_vals[:, None, :]) @ ufh
-    return _ifft_tensor(faces, c.real_input)
+    return c.rebuild(inv_vals, adjoint=True)
 
 
 def lstsq(a: Tensor3, b: Tensor3, tol_rank=None) -> Tensor3:
@@ -100,11 +95,8 @@ def resolvent_eval(r: Resolvent, z) -> Tensor3:
     dist = np.abs(z - c.sigma).min()
     if dist < 1e-8 * r.scale():
         raise NearSingularShift(f"shift {z} is within {dist:.3e} of a singular value")
-    vals = 1.0 / (z - c.sigma.astype(np.complex128))
-    vf = c.vhf.conj().transpose(0, 2, 1)
-    ufh = c.uf.conj().transpose(0, 2, 1)
-    faces = (vf * vals[:, None, :]) @ ufh
-    return _ifft_tensor(faces, c.real_input and z.imag == 0.0)
+    # a real shift keeps the values real, so a real input rebuilds real
+    return c.rebuild(1.0 / ((z.real if z.imag == 0.0 else z) - c.sigma), adjoint=True)
 
 
 def resolvent_identity_residual(r: Resolvent, lam, mu) -> float:
@@ -248,8 +240,9 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
     """
     if a.m != a.n:
         raise DimMismatch(f"standard function needs an F-square tensor, got {a.shape}")
-    faces = np.fft.fft(a.data, axis=0)
-    eigs = np.concatenate([np.linalg.eigvals(faces[i]) for i in range(a.p)])
+    # the full spectrum, so this oracle shares no half-spectrum logic with standard_tfn
+    _, (faces,) = to_faces(a, allow_half=False)
+    eigs = np.linalg.eigvals(faces).ravel()
     if contour is None:
         center = complex(eigs.mean())
         spread = float(np.abs(eigs - center).max())
@@ -261,14 +254,12 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
         if margin < 1e-8 * scale:
             raise EigenvalueOnContour(f"face eigenvalue within {margin:.3e} of the contour")
 
-    eye = np.eye(a.n, dtype=np.complex128)
-    bfaces = np.fft.fft(b.data, axis=0) if b is not None else None
-    out = None
+    eye = np.eye(a.n)
+    if b is None:
+        rhs = np.broadcast_to(eye, faces.shape)
+    else:
+        _, (rhs,) = to_faces(b, allow_half=False)
+    out = np.zeros(rhs.shape, dtype=np.complex128)
     for z, w in _quad_nodes(contour):
-        fz = complex(f(np.array([z]))[0]) * w
-        for i in range(a.p):
-            shard = np.linalg.solve(z * eye - faces[i], bfaces[i] if b is not None else eye)
-            if out is None:
-                out = np.zeros((a.p,) + shard.shape, dtype=np.complex128)
-            out[i] += fz * shard
-    return Tensor3(np.fft.ifft(out, axis=0))
+        out += complex(f(np.array([z]))[0]) * w * np.linalg.solve(z * eye - faces, rhs)
+    return from_faces(out, a.p, half=False)

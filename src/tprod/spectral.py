@@ -1,4 +1,4 @@
-"""DFT face domain: T-SVD, T-CSVD, tubal rank, projectors, partial isometries.
+"""DFT face domain: the transform layer, T-SVD, T-CSVD, tubal rank, projectors.
 
 All spectral work happens on the p "faces" obtained by a forward DFT along
 the tube fibers. With the unitary DFT matrix F_p, the block-circulant of a
@@ -6,11 +6,15 @@ tensor factors as
 
     bcirc(A) = (F_p^H kron I_m) . blockdiag(D_1 .. D_p) . (F_p kron I_n),
 
-so the T-product becomes an independent matrix product per face. For a
-real tensor the faces come in conjugate pairs D_{p-k} = conj(D_k); every
-factorization here processes only faces 0..p//2 and mirrors the rest, so
-inverse transforms of the factors are real by construction rather than by
-luck.
+so the T-product becomes an independent matrix product per face. Every
+module reaches the faces through :func:`to_faces` and leaves through
+:func:`from_faces`, running one batched kernel over the face stack in
+between. For a real tensor the faces come in conjugate pairs
+D_{p-k} = conj(D_k), so the layer keeps only the half spectrum, faces
+0..p//2 (``rfft``), and returns through ``irfft``: real input gives real
+output by construction. :func:`mirror` rebuilds all p faces where a kernel
+breaks the pairing, such as a complex-valued function of real singular
+values.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import Tensor3
-from .errors import DimMismatch
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -31,108 +34,90 @@ def default_rank_rtol(m, n, p):
     return max(m, n) * p * _EPS
 
 
-@dataclass(frozen=True)
-class FaceStack:
-    """The p DFT-domain faces of a tensor: ``faces[k]`` is an m x n matrix."""
+def to_faces(*tensors, allow_half=True):
+    """Forward DFT along the tubes of tensors sharing p: ``(half, [stacks])``.
 
-    m: int
-    n: int
-    p: int
-    faces: np.ndarray
-
-    def __post_init__(self):
-        if self.faces.shape != (self.p, self.m, self.n):
-            raise DimMismatch(f"faces shape {self.faces.shape} != {(self.p, self.m, self.n)}")
-
-
-def from_tensor(a: Tensor3) -> FaceStack:
-    """Forward DFT along tubes."""
-    return FaceStack(a.m, a.n, a.p, np.fft.fft(a.data, axis=0))
+    ``half`` is true when ``allow_half`` is set and every operand is exactly
+    real; each stack then holds faces 0..p//2 only. Otherwise each stack
+    holds all p faces.
+    """
+    half = allow_half and all(t.exactly_real for t in tensors)
+    if half:
+        return True, [np.fft.rfft(t.data.real, axis=0) for t in tensors]
+    return False, [np.fft.fft(t.data, axis=0) for t in tensors]
 
 
-def to_tensor(fs: FaceStack) -> Tensor3:
-    """Inverse of :func:`from_tensor`."""
-    return Tensor3(np.fft.ifft(fs.faces, axis=0))
+def from_faces(faces, p, half) -> Tensor3:
+    """Inverse of :func:`to_faces`; a half spectrum comes back exactly real.
+
+    ``irfft`` ignores the imaginary parts of face 0 and (for even p) face
+    p/2, so on the half path those faces must already be real.
+    """
+    if half:
+        return Tensor3(np.fft.irfft(faces, n=p, axis=0))
+    return Tensor3(np.fft.ifft(faces, axis=0))
+
+
+def mirror(faces, p):
+    """Half spectrum (faces 0..p//2) -> all p faces, by D_{p-k} = conj(D_k)."""
+    return np.concatenate([faces, faces[1:(p + 1) // 2][::-1].conj()])
 
 
 def face_singular_values(a: Tensor3) -> np.ndarray:
     """(p, min(m, n)) singular values of every DFT face, descending per face."""
-    return np.linalg.svd(np.fft.fft(a.data, axis=0), compute_uv=False)
+    half, (faces,) = to_faces(a)
+    s = np.linalg.svd(faces, compute_uv=False)
+    return mirror(s, a.p) if half else s
+
+
+def _unit_phase(x, axis):
+    """Phase of the largest-magnitude entry along ``axis`` (1 where that entry is 0)."""
+    top = np.take_along_axis(x, np.abs(x).argmax(axis=axis, keepdims=True), axis=axis)
+    mag = np.abs(top)
+    return np.where(mag > 0.0, top / np.where(mag > 0.0, mag, 1.0), 1.0)
 
 
 def _fix_phases(u, vh):
     """Scale singular vectors so each left vector's largest entry is real positive.
 
-    Determinism for golden tests; the product u @ diag(s) @ vh is unchanged.
+    Works on stacks, in place. Rows of ``vh`` without a left partner (full
+    matrices, n > m) are normalised by their own largest entry. Determinism
+    for golden tests; every product u @ diag(s) @ vh is unchanged.
     """
-    ncols = u.shape[1]
-    nrows = vh.shape[0]
-    for j in range(ncols):
-        col = u[:, j]
-        k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if np.abs(a) > 0.0:
-            ph = a / np.abs(a)
-            u[:, j] = col * np.conj(ph)
-            if j < nrows:
-                vh[j, :] = vh[j, :] * ph
-    for j in range(u.shape[1], nrows):
-        row = vh[j, :]
-        k = int(np.argmax(np.abs(row)))
-        a = row[k]
-        if np.abs(a) > 0.0:
-            vh[j, :] = row * (np.abs(a) / a)
+    ph = _unit_phase(u, -2)
+    u *= ph.conj()
+    k = min(u.shape[-1], vh.shape[-2])
+    vh[..., :k, :] *= ph[..., 0, :k, None]
+    if vh.shape[-2] > k:
+        vh[..., k:, :] *= _unit_phase(vh[..., k:, :], -1).conj()
     return u, vh
 
 
 def _face_svd(a: Tensor3, full_matrices):
-    """Per-face SVDs with deterministic phases and conjugate mirroring.
+    """One batched SVD over the face stack, with deterministic phases.
 
-    Returns (uf, s, vhf, real_input) where uf is (p, m, mu), s is (p, k),
-    vhf is (p, nv, n) with mu/nv = m/n when full, else k = min(m, n).
+    Returns (uf, s, vhf, half): uf is (h, m, mu), s is (h, k), vhf is
+    (h, nv, n), where h is p//2 + 1 on the half spectrum and p otherwise,
+    k = min(m, n), and mu/nv = m/n when full, else k.
     """
-    m, n, p = a.m, a.n, a.p
-    k = min(m, n)
-    mu = m if full_matrices else k
-    nv = n if full_matrices else k
-    faces = np.fft.fft(a.data, axis=0)
-    real_input = a.exactly_real
-
-    uf = np.empty((p, m, mu), dtype=np.complex128)
-    s = np.empty((p, k), dtype=np.float64)
-    vhf = np.empty((p, nv, n), dtype=np.complex128)
-
-    last = p // 2 if real_input else p - 1
-    for i in range(last + 1):
-        face = faces[i]
-        self_conj = real_input and (i == 0 or (p % 2 == 0 and i == p // 2))
-        if self_conj:
-            u_i, s_i, vh_i = np.linalg.svd(face.real, full_matrices=full_matrices)
-            u_i = u_i.astype(np.complex128)
-            vh_i = vh_i.astype(np.complex128)
-        else:
-            u_i, s_i, vh_i = np.linalg.svd(face, full_matrices=full_matrices)
-        u_i, vh_i = _fix_phases(u_i, vh_i)
-        uf[i], s[i], vhf[i] = u_i, s_i, vh_i
-        if real_input and 0 < i < p - i:
-            uf[p - i] = u_i.conj()
-            s[p - i] = s_i
-            vhf[p - i] = vh_i.conj()
-    return uf, s, vhf, real_input
-
-
-def _ifft_tensor(face_array, real_output):
-    data = np.fft.ifft(face_array, axis=0)
-    return Tensor3(data.real) if real_output else Tensor3(data)
+    half, (faces,) = to_faces(a)
+    uf, s, vhf = np.linalg.svd(faces, full_matrices=full_matrices)
+    uf, vhf = _fix_phases(uf, vhf)
+    return uf, s, vhf, half
 
 
 def _embed_diag(s, m, n):
-    """(p, k) values -> (p, m, n) stack of rectangular diagonal matrices."""
-    p, k = s.shape
-    out = np.zeros((p, m, n), dtype=np.complex128)
+    """(h, k) values -> (h, m, n) stack of rectangular diagonal matrices."""
+    h, k = s.shape
+    out = np.zeros((h, m, n), dtype=s.dtype)
     idx = np.arange(k)
     out[:, idx, idx] = s
     return out
+
+
+def _ct(x):
+    """Conjugate transpose of every matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -145,10 +130,10 @@ class TSvd:
 
 
 def tsvd(a: Tensor3) -> TSvd:
-    uf, s, vhf, real_input = _face_svd(a, full_matrices=True)
-    u = _ifft_tensor(uf, real_input)
-    sd = _ifft_tensor(_embed_diag(s, a.m, a.n), real_input)
-    v = _ifft_tensor(vhf.conj().transpose(0, 2, 1), real_input)
+    uf, s, vhf, half = _face_svd(a, full_matrices=True)
+    u = from_faces(uf, a.p, half)
+    sd = from_faces(_embed_diag(s, a.m, a.n), a.p, half)
+    v = from_faces(_ct(vhf), a.p, half)
     return TSvd(u, sd, v)
 
 
@@ -158,7 +143,9 @@ class TCsvd:
 
     ``sigma[i, j]`` is the j-th singular value of face i, zeroed below the
     rank cutoff; positions j >= face_ranks[i] are genuine zeros kept inside
-    the window because r = max over faces.
+    the window because r = max over faces. ``sigma`` and ``face_ranks``
+    cover all p faces; the frames ``uf`` and ``vhf`` hold faces 0..p//2 only
+    when ``half`` (real input).
     """
 
     m: int
@@ -169,39 +156,61 @@ class TCsvd:
     sigma: np.ndarray
     uf: np.ndarray
     vhf: np.ndarray
-    real_input: bool
+    half: bool
     rank_cutoff: float
 
     @cached_property
     def Ur(self) -> Tensor3:
         if self.r == 0:
             return Tensor3(np.zeros((self.p, self.m, 1)))
-        return _ifft_tensor(self.uf, self.real_input)
+        return from_faces(self.uf, self.p, self.half)
 
     @cached_property
     def Sr(self) -> Tensor3:
         if self.r == 0:
             return Tensor3.zeros(1, 1, self.p)
-        return _ifft_tensor(_embed_diag(self.sigma, self.r, self.r), self.real_input)
+        sigma = self.sigma[: self.uf.shape[0]]
+        return from_faces(_embed_diag(sigma, self.r, self.r), self.p, self.half)
 
     @cached_property
     def Vr(self) -> Tensor3:
         if self.r == 0:
             return Tensor3(np.zeros((self.p, self.n, 1)))
-        return _ifft_tensor(self.vhf.conj().transpose(0, 2, 1), self.real_input)
+        return from_faces(_ct(self.vhf), self.p, self.half)
 
-    def rebuild_from_values(self, vals, real_values=True) -> Tensor3:
-        """U_r * diagface(vals) * V_r^H for a (p, r) array of diagonal values."""
+    @cached_property
+    def full_frames(self):
+        """(uf, vhf) over all p faces, mirrored once per factorization."""
+        if not self.half:
+            return self.uf, self.vhf
+        return mirror(self.uf, self.p), mirror(self.vhf, self.p)
+
+    def rebuild(self, vals, adjoint=False) -> Tensor3:
+        """U_r * diag(vals) * V_r^H, or V_r * diag(vals) * U_r^H when ``adjoint``.
+
+        ``vals`` is a (p, r) array. Real values on a real input stay on the
+        half spectrum and give an exactly real tensor; complex values break
+        the conjugate pairing, so they use :attr:`full_frames`.
+        """
+        vals = np.asarray(vals)
         if self.r == 0:
-            return Tensor3.zeros(self.m, self.n, self.p)
-        faces = (self.uf * np.asarray(vals, dtype=np.complex128)[:, None, :]) @ self.vhf
-        return _ifft_tensor(faces, self.real_input and real_values)
+            m, n = (self.n, self.m) if adjoint else (self.m, self.n)
+            return Tensor3.zeros(m, n, self.p)
+        half = self.half and not np.iscomplexobj(vals)
+        uf, vhf = (self.uf, self.vhf) if half else self.full_frames
+        vals = vals[: uf.shape[0], None, :]
+        if adjoint:
+            # V diag(vals) U^H is the conjugate transpose of U diag(conj(vals)) V^H
+            return from_faces(_ct((uf * vals.conj()) @ vhf), self.p, half)
+        return from_faces((uf * vals) @ vhf, self.p, half)
 
 
 def tcsvd(a: Tensor3, tol_rank=None) -> TCsvd:
     """Compact T-SVD; ``tol_rank`` is relative to the largest face singular value."""
-    uf, s, vhf, real_input = _face_svd(a, full_matrices=False)
+    uf, s, vhf, half = _face_svd(a, full_matrices=False)
     m, n, p = a.m, a.n, a.p
+    if half:
+        s = mirror(s, p)
     rtol = default_rank_rtol(m, n, p) if tol_rank is None else float(tol_rank)
     smax = float(s.max()) if s.size else 0.0
     cutoff = rtol * smax
@@ -218,7 +227,7 @@ def tcsvd(a: Tensor3, tol_rank=None) -> TCsvd:
         sigma=sigma,
         uf=uf[:, :, :r],
         vhf=vhf[:, :r, :],
-        real_input=real_input,
+        half=half,
         rank_cutoff=cutoff,
     )
 
@@ -242,12 +251,10 @@ def projectors(c: TCsvd):
     """
     if c.r == 0:
         return Tensor3.zeros(c.m, c.m, c.p), Tensor3.zeros(c.n, c.n, c.p)
-    mask = (c.sigma > 0.0).astype(np.float64)
-    uf_pos = c.uf * mask[:, None, :]
-    q_left = _ifft_tensor(uf_pos @ c.uf.conj().transpose(0, 2, 1), c.real_input)
-    vf = c.vhf.conj().transpose(0, 2, 1)
-    vf_pos = vf * mask[:, None, :]
-    q_right = _ifft_tensor(vf_pos @ vf.conj().transpose(0, 2, 1), c.real_input)
+    mask = (c.sigma[: c.uf.shape[0]] > 0.0)[:, None, :]
+    vf = _ct(c.vhf)
+    q_left = from_faces((c.uf * mask) @ _ct(c.uf), c.p, c.half)
+    q_right = from_faces((vf * mask) @ c.vhf, c.p, c.half)
     return q_left, q_right
 
 
@@ -267,43 +274,29 @@ class PartialIsometrySet:
 
 def isometry(c: TCsvd) -> Tensor3:
     """The partial isometry E = Ur * Vr^H (real whenever the input was)."""
-    if c.r == 0:
-        return Tensor3.zeros(c.m, c.n, c.p)
-    return _ifft_tensor(c.uf @ c.vhf, c.real_input)
+    return c.rebuild(np.ones((c.p, c.r)))
 
 
 def partial_isometries(c: TCsvd) -> PartialIsometrySet:
+    uf, vhf = c.full_frames
     comps = []
     for i in range(c.p):
         row = []
         for j in range(c.r):
             faces = np.zeros((c.p, c.m, c.n), dtype=np.complex128)
-            faces[i] = np.outer(c.uf[i, :, j], c.vhf[i, j, :])
-            row.append(Tensor3(np.fft.ifft(faces, axis=0)))
+            faces[i] = np.outer(uf[i, :, j], vhf[i, j, :])
+            row.append(from_faces(faces, c.p, half=False))
         comps.append(row)
     return PartialIsometrySet(E=isometry(c), components=comps, values=c.sigma.copy())
 
 
 def apply_facewise(a: Tensor3, fn, conj_equivariant=True) -> Tensor3:
-    """Transform, apply ``fn(face, index)`` per face, transform back.
+    """Transform, apply ``fn`` to the whole face stack, transform back.
 
-    When the input is real and ``fn`` commutes with complex conjugation,
-    only faces 0..p//2 are evaluated and the rest mirrored, which makes the
+    ``fn`` maps an (h, m, n) stack to an (h, ...) stack; face index i of the
+    stack is DFT face i. When the input is real and ``fn`` commutes with
+    complex conjugation, only faces 0..p//2 are passed in, which makes the
     result exactly real.
     """
-    faces = np.fft.fft(a.data, axis=0)
-    p = a.p
-    mirror = a.exactly_real and conj_equivariant
-    out = None
-    last = p // 2 if mirror else p - 1
-    for i in range(last + 1):
-        face = faces[i]
-        if mirror and (i == 0 or (p % 2 == 0 and i == p // 2)):
-            face = face.real.astype(np.complex128)
-        res = np.asarray(fn(face, i), dtype=np.complex128)
-        if out is None:
-            out = np.empty((p,) + res.shape, dtype=np.complex128)
-        out[i] = res
-        if mirror and 0 < i < p - i:
-            out[p - i] = res.conj()
-    return _ifft_tensor(out, mirror)
+    half, (faces,) = to_faces(a, allow_half=conj_equivariant)
+    return from_faces(np.asarray(fn(faces), dtype=np.complex128), a.p, half)

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .genfun import ScalarFn, gfun, named_scalar_fn, standard_tfn
-from .spectral import default_rank_rtol
+from .spectral import default_rank_rtol, from_faces, to_faces
 
 _TINY = 1e-300
 
@@ -267,21 +267,22 @@ def _rand_tensor(rng, m, n, p, cplx):
 
 
 def random_unitary(n, p, seed=0, real=True) -> Tensor3:
-    """Random orthogonal/unitary tensor by face-wise QR with conjugate pairing."""
+    """Random orthogonal/unitary tensor by batched face-wise QR.
+
+    A real tensor draws only the half spectrum; its faces 0 and (even p)
+    p/2 are drawn real, as the conjugate pairing requires.
+    """
     rng = np.random.default_rng(seed)
-    faces = np.empty((p, n, n), dtype=np.complex128)
-    last = p // 2 if real else p - 1
-    for k in range(last + 1):
-        z = rng.standard_normal((n, n))
-        if not real or (k != 0 and not (p % 2 == 0 and k == p // 2)):
-            z = z + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.where(np.abs(np.diag(r)) > 0, np.diag(r).real, 1.0))
-        faces[k] = q
-        if real and 0 < k < p - k:
-            faces[p - k] = q.conj()
-    data = np.fft.ifft(faces, axis=0)
-    return Tensor3(data.real) if real else Tensor3(data)
+    h = p // 2 + 1 if real else p
+    z = rng.standard_normal((h, n, n)) + 1j * rng.standard_normal((h, n, n))
+    if real:
+        z[0].imag = 0.0
+        if p % 2 == 0:
+            z[-1].imag = 0.0
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * np.sign(np.where(np.abs(d) > 0, d.real, 1.0))[:, None, :]
+    return from_faces(q, p, half=real)
 
 
 def _sinkhorn_block_circulant(rng, n, p, max_sweeps=2000, tol=1e-12):
@@ -339,13 +340,10 @@ def random_member(cls, shape, seed=0) -> Tensor3:
     elif name == "normal":
         if m != n:
             raise DimMismatch("normal members are F-square")
-        faces = np.empty((p, n, n), dtype=np.complex128)
-        for k in range(p):
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q, _ = np.linalg.qr(z)
-            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            faces[k] = (q * d) @ q.conj().T
-        out = Tensor3(np.fft.ifft(faces, axis=0))
+        z = rng.standard_normal((p, n, n)) + 1j * rng.standard_normal((p, n, n))
+        q, _ = np.linalg.qr(z)
+        d = rng.standard_normal((p, 1, n)) + 1j * rng.standard_normal((p, 1, n))
+        out = from_faces((q * d) @ q.conj().swapaxes(-1, -2), p, half=False)
     elif name == "f_circulant":
         if m != n:
             raise DimMismatch("F-circulant members are F-square")
@@ -565,16 +563,17 @@ def _pava_nonincreasing(y):
 
 def _cone_project_faces(spec: ConeSpec, a: Tensor3):
     mid = tprod(conj_transpose(spec.U), tprod(a, spec.V))
-    faces = np.fft.fft(mid.data, axis=0)
-    m, n = spec.U.n, spec.V.n
-    k = min(m, n)
+    # faces k and p - k share their real diagonal, so a real mid projects on
+    # the half spectrum
+    half, (faces,) = to_faces(mid)
+    k = min(spec.U.n, spec.V.n)
     out = np.zeros_like(faces)
-    for i in range(a.p):
-        d = np.real(np.diagonal(faces[i]))[:k].copy()
+    for i, face in enumerate(faces):
+        d = np.real(np.diagonal(face))[:k].copy()
         d[spec.r:] = 0.0
         d[: spec.r] = _pava_nonincreasing(d[: spec.r])
         out[i, np.arange(k), np.arange(k)] = d
-    return Tensor3(np.fft.ifft(out, axis=0))
+    return from_faces(out, a.p, half)
 
 
 def cone_membership(spec: ConeSpec, a: Tensor3, tol=1e-8):
@@ -592,11 +591,9 @@ def random_cone_member(spec: ConeSpec, seed=0, rank=None) -> Tensor3:
     rng = np.random.default_rng(seed)
     rank = spec.r if rank is None else rank
     m, n, p = spec.U.n, spec.V.n, spec.U.p
-    faces = np.zeros((p, m, n), dtype=np.complex128)
-    for i in range(p):
-        d = np.sort(rng.uniform(0.2, 2.0, size=rank))[::-1]
-        faces[i, np.arange(rank), np.arange(rank)] = d
-    s = Tensor3(np.fft.ifft(faces, axis=0))
+    faces = np.zeros((p, m, n))
+    faces[:, np.arange(rank), np.arange(rank)] = -np.sort(-rng.uniform(0.2, 2.0, (p, rank)))
+    s = from_faces(faces, p, half=False)
     return tprod(spec.U, tprod(s, conj_transpose(spec.V)))
 
 

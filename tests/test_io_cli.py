@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,31 @@ def test_cli_check_unknown_class(tmp_path, capsys):
 def test_cli_missing_file_is_io_error(capsys):
     rc = main(["info", "/nonexistent/never.tt3a"])
     assert rc == 4
+
+
+def _assert_io_exit(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_non_finite_value_is_io_error(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("2 2 1 real64\n1 nan\n3 4\n")
+    _assert_io_exit(["info", str(path)], capsys)
+
+
+def test_cli_oversized_binary_header_is_io_error(tmp_path, capsys):
+    path = tmp_path / "huge.tt3a"
+    path.write_bytes(struct.pack("<4sIQQQI", b"TT3A", 1, 2**40, 2**40, 1, 1))
+    _assert_io_exit(["info", str(path)], capsys)
+
+
+def test_cli_zero_dimension_is_io_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 2 1 real64\n")
+    _assert_io_exit(["info", str(path)], capsys)
 
 
 def test_cli_usage_error(capsys):

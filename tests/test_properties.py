@@ -1,0 +1,155 @@
+"""Property tests of the face-domain layer over shapes, realness and face ranks.
+
+Inputs sweep p in {1, 2, 3, 4, 5, 8} (p = 1, odd and even p), m != n, real
+and complex entries, and rank-deficient faces, so zero singular values sit
+inside the tubal-rank window. Real inputs run on the half spectrum; the
+properties below fail when its DC or Nyquist faces are not exactly real or
+when the mirrored faces are wrong.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tprod import (
+    Tensor3,
+    bcirc,
+    conj_transpose,
+    fnorm,
+    gfun,
+    identity,
+    inverse,
+    is_unitary,
+    named_scalar_fn,
+    pinv,
+    random_unitary,
+    scalar_fn,
+    standard_tfn,
+    tcsvd,
+    tprod,
+    tsvd,
+)
+
+from conftest import dense_gmf, rand_face_ranks
+
+P_VALUES = (1, 2, 3, 4, 5, 8)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _real_face_ranks(rng, m, n, ranks):
+    """Real tensor whose DFT face k has rank ranks[min(k, p - k)].
+
+    Conjugate-paired faces are built by hand, independently of the library;
+    faces 0 and (even p) p/2 are real.
+    """
+    p = len(ranks)
+    faces = np.zeros((p, m, n), dtype=np.complex128)
+    for k in range(p // 2 + 1):
+        r = ranks[k]
+        x = rng.standard_normal((m, r))
+        y = rng.standard_normal((r, n))
+        if 0 < k < p - k:
+            x = x + 1j * rng.standard_normal((m, r))
+            y = y + 1j * rng.standard_normal((r, n))
+            faces[p - k] = (x @ y).conj()
+        faces[k] = x @ y
+    return Tensor3(np.fft.ifft(faces, axis=0).real)
+
+
+@st.composite
+def tensors(draw, real=None):
+    """(tensor, is_real): random entries or a rank-deficient face pattern."""
+    p = draw(st.sampled_from(P_VALUES))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    real = draw(st.booleans()) if real is None else real
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    if draw(st.booleans()):
+        data = rng.standard_normal((p, m, n))
+        if not real:
+            data = data + 1j * rng.standard_normal((p, m, n))
+        return Tensor3(data), real
+    ranks = draw(st.lists(st.integers(0, k), min_size=p // 2 + 1, max_size=p // 2 + 1))
+    if real:
+        return _real_face_ranks(rng, m, n, ranks + ranks[1:(p + 1) // 2][::-1]), real
+    ranks = ranks + draw(st.lists(st.integers(0, k), min_size=p - len(ranks),
+                                  max_size=p - len(ranks)))
+    return rand_face_ranks(rng, m, n, ranks), real
+
+
+@PROPERTY
+@given(tensors(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_fft_product_equals_dense(at, s, seed):
+    a, real = at
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((a.p, a.n, s))
+    b = Tensor3(data if real else data + 1j * rng.standard_normal((a.p, a.n, s)))
+    fast = tprod(a, b)
+    dense = tprod(a, b, method="dense")
+    assert fnorm(fast - dense) <= 1e-12 * max(fnorm(a) * fnorm(b), 1.0)
+    assert fast.exactly_real or not real
+
+
+@PROPERTY
+@given(tensors(real=True))
+def test_real_input_gives_exactly_real_output(at):
+    a, _ = at
+    f = tsvd(a)
+    c = tcsvd(a)
+    outs = [tprod(a, conj_transpose(a)), f.U, f.S, f.V, c.Ur, c.Sr, c.Vr, pinv(a),
+            gfun(a, named_scalar_fn("sinh"))]
+    if a.m == a.n:
+        outs.append(standard_tfn(a, named_scalar_fn("exp")))
+        outs.append(inverse(a + (2.0 + fnorm(a)) * identity(a.n, a.p)))
+    assert all(t.exactly_real for t in outs)
+
+
+@PROPERTY
+@given(tensors())
+def test_tsvd_frames_are_unitary(at):
+    a, _ = at
+    f = tsvd(a)
+    assert is_unitary(f.U, 1e-10) and is_unitary(f.V, 1e-10)
+    rec = tprod(f.U, tprod(f.S, conj_transpose(f.V)))
+    assert fnorm(rec - a) <= 1e-10 * max(fnorm(a), 1.0)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.sampled_from(P_VALUES), st.booleans(), st.integers(0, 1000))
+def test_random_unitary_is_unitary(n, p, real, seed):
+    q = random_unitary(n, p, seed=seed, real=real)
+    assert is_unitary(q, 1e-10)
+    assert q.exactly_real or not real
+
+
+@PROPERTY
+@given(tensors())
+def test_penrose_identities(at):
+    a, _ = at
+    x = pinv(a)
+    ax, xa = tprod(a, x), tprod(x, a)
+    assert fnorm(tprod(ax, a) - a) / max(fnorm(a), 1e-300) <= 1e-9
+    assert fnorm(tprod(xa, x) - x) / max(fnorm(x), 1e-300) <= 1e-9
+    assert fnorm(conj_transpose(ax) - ax) / max(fnorm(ax), 1e-300) <= 1e-9
+    assert fnorm(conj_transpose(xa) - xa) / max(fnorm(xa), 1e-300) <= 1e-9
+
+
+def _spin(x):
+    # complex-valued on real singular values, with f(0) = 0
+    x = np.asarray(x, dtype=np.complex128)
+    return x * np.exp(1j * x)
+
+
+SPIN = scalar_fn(_spin, 0.0, name="spin")
+
+
+@PROPERTY
+@given(tensors())
+def test_complex_valued_gfun_matches_dense_route(at):
+    a, real = at
+    out = gfun(a, SPIN)
+    want = dense_gmf(bcirc(a), SPIN)
+    assert np.linalg.norm(bcirc(out) - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+    if real and tcsvd(a).r > 0:
+        assert not out.exactly_real
