@@ -1,7 +1,7 @@
 """Command-line surface: tensor file I/O, decompose/apply/solve/check/bench.
 
-Exit codes: 0 success, 1 check failed, 2 usage error, 3 numerical failure,
-4 I/O or parse failure.
+Exit codes: 0 success, 1 check failed, 2 usage error, 3 numerical failure
+(or any other unexpected error), 4 I/O or parse failure.
 """
 
 from __future__ import annotations
@@ -16,12 +16,18 @@ import numpy as np
 from . import io as tio
 from .algebra import tprod
 from .core import Tensor3, bcirc, conj_transpose, fnorm, fold
-from .errors import FileFormatError, FnDomainError, TprodError, UnsupportedClass
+from .errors import (
+    FileFormatError,
+    FnDomainError,
+    HypothesisViolation,
+    InvalidContour,
+    TprodError,
+    UnsupportedClass,
+)
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
 from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
 from .spectral import tcsvd
 from .structure import StructClass, is_member, preservation_check
-from .errors import HypothesisViolation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,24 +83,17 @@ def _resolve_fn(args):
 def cmd_apply(args):
     a = tio.read_tensor(args.path)
     f = _resolve_fn(args)
-    generalized = not args.standard
-    if generalized:
-        if args.method == "spectral":
-            out = gfun(a, f)
-        elif args.method == "series":
-            out = gfun_taylor(a, f, z0=args.z0)
-        else:
-            out = gfun_contour(a, f, nodes=args.nodes)
-        reference = gfun(a, f)
+    spectral_fn = standard_tfn if args.standard else gfun
+    if args.method == "spectral":
+        out = spectral_fn(a, f)
     else:
-        if args.method == "spectral":
-            out = standard_tfn(a, f)
-        elif args.method == "series":
-            out = standard_tfn(a, f, force_series=True)
+        if args.method == "series":
+            out = (standard_tfn(a, f, force_series=True) if args.standard
+                   else gfun_taylor(a, f, z0=args.z0))
         else:
-            out = standard_fn_contour(a, f, nodes=args.nodes)
-        reference = standard_tfn(a, f)
-    if args.method != "spectral":
+            contour_fn = standard_fn_contour if args.standard else gfun_contour
+            out = contour_fn(a, f, nodes=args.nodes)
+        reference = spectral_fn(a, f)
         diff = fnorm(out - reference) / max(fnorm(reference), 1e-300)
         print(f"cross-check vs spectral: {diff:.3e}")
     tio.write_tensor(args.out, out, text=args.text)
@@ -281,11 +280,16 @@ def main(argv=None):
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (UnsupportedClass, FnDomainError, HypothesisViolation) as exc:
+    except (UnsupportedClass, FnDomainError, HypothesisViolation, InvalidContour) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:
+        # the last guard: one line, no traceback, and never the exit code of a failed check
+        msg = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -66,6 +66,14 @@ class EigenvalueOnContour(TprodError):
     """A face eigenvalue lies (numerically) on the integration contour."""
 
 
+class InvalidContour(TprodError, ValueError):
+    """Contour has too few nodes, a non-positive radius or overlapping circles."""
+
+
+class NonFinite(TprodError):
+    """A tensor entering the face domain holds a NaN or an infinity."""
+
+
 class UnsupportedClass(TprodError):
     """Unknown structured-tensor class name."""
 

@@ -2,7 +2,9 @@
 
 The production paths are spectral (compact T-SVD). The Cauchy-integral
 forms are implemented as independent cross-checks: trapezoidal quadrature
-on circles, which converges geometrically for analytic integrands.
+on circles, which converges geometrically for analytic integrands. The
+resolvent is linear in its values 1/(z - sigma), so the resolvent oracles
+sum the quadrature on the singular values and rebuild once per call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import (
     DimMismatch,
     EigenvalueOnContour,
     EmptyValues,
+    InvalidContour,
     NearSingularShift,
     ZeroSingularValue,
     ZeroSingularValueRequiresFZero,
@@ -25,6 +28,8 @@ from .spectral import TCsvd, from_faces, isometry, tcsvd, to_faces
 
 DEFAULT_NODES = 256
 _CLUSTER_RTOL = 1e-8
+# a shift nearer than this times Resolvent.scale() to a singular value is refused
+_SHIFT_RTOL = 1e-8
 
 
 def pinv(a: Tensor3, tol_rank=None) -> Tensor3:
@@ -93,7 +98,7 @@ def resolvent_eval(r: Resolvent, z) -> Tensor3:
         return Tensor3.zeros(c.n, c.m, c.p)
     z = complex(z)
     dist = np.abs(z - c.sigma).min()
-    if dist < 1e-8 * r.scale():
+    if dist < _SHIFT_RTOL * r.scale():
         raise NearSingularShift(f"shift {z} is within {dist:.3e} of a singular value")
     # a real shift keeps the values real, so a real input rebuilds real
     return c.rebuild(1.0 / ((z.real if z.imag == 0.0 else z) - c.sigma), adjoint=True)
@@ -121,14 +126,14 @@ class Contour:
 
     def __post_init__(self):
         if self.nodes_per_circle < 16:
-            raise ValueError("need at least 16 quadrature nodes per circle")
+            raise InvalidContour("need at least 16 quadrature nodes per circle")
         for _, rad in self.circles:
             if rad <= 0:
-                raise ValueError("circle radii must be positive")
+                raise InvalidContour("circle radii must be positive")
         for i, (ci, ri) in enumerate(self.circles):
             for cj, rj in self.circles[i + 1:]:
                 if abs(ci - cj) <= ri + rj:
-                    raise ValueError("contour circles must be pairwise disjoint")
+                    raise InvalidContour("contour circles must be pairwise disjoint")
 
 
 def _cluster(values, rtol=_CLUSTER_RTOL):
@@ -158,12 +163,34 @@ def contour_for(values, nodes=DEFAULT_NODES) -> Contour:
 
 
 def _quad_nodes(contour):
-    """Nodes z_k and weights w_k so (1/2 pi i) . oint g dz ~ sum g(z_k) w_k."""
+    """Per circle, node and weight arrays (z, w): (1/2 pi i) . oint g dz ~ sum g(z) w."""
+    k = contour.nodes_per_circle
+    th = 2.0 * np.pi * np.arange(k) / k
     for center, rad in contour.circles:
-        th = 2.0 * np.pi * np.arange(contour.nodes_per_circle) / contour.nodes_per_circle
         z = center + rad * np.exp(1j * th)
-        w = (z - center) / contour.nodes_per_circle
-        yield from zip(z, w)
+        yield z, (z - center) / k
+
+
+def _contour_sum(res: Resolvent, contour, coef) -> Tensor3:
+    """(1/2 pi i) oint coef(z) (z E - A)^+ dz, summed on the singular values.
+
+    Every node term is ``rebuild(1 / (z - sigma), adjoint=True)`` and
+    ``rebuild`` is linear in its values, so the terms add up on the (p, r)
+    values and the sum is rebuilt once. One circle at a time keeps the work
+    array at nodes x p x r. Each node keeps the :func:`resolvent_eval` guard.
+    """
+    c = res.csvd
+    limit = _SHIFT_RTOL * res.scale()
+    vals = np.zeros(c.sigma.shape, dtype=np.complex128)
+    for z, w in _quad_nodes(contour):
+        diff = z[:, None, None] - c.sigma
+        dist = np.abs(diff).min(axis=(1, 2))
+        near = dist < limit
+        if near.any():
+            k = int(near.argmax())
+            raise NearSingularShift(f"shift {z[k]} is within {dist[k]:.3e} of a singular value")
+        vals += ((coef(z) * w)[:, None, None] / diff).sum(axis=0)
+    return c.rebuild(vals, adjoint=True)
 
 
 def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
@@ -181,9 +208,7 @@ def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
         raise ZeroSingularValueRequiresFZero("zero singular value in window but f(0) != 0")
     if contour is None:
         contour = contour_for(c.sigma[c.sigma > 0.0], nodes)
-    acc = Tensor3.zeros(a.n, a.m, a.p)
-    for z, w in _quad_nodes(contour):
-        acc = acc + (complex(f(np.array([z]))[0]) * w) * resolvent_eval(res, z)
+    acc = _contour_sum(res, contour, f)
     e = res.E
     return tprod(e, tprod(acc, e))
 
@@ -201,9 +226,7 @@ def cluster_projector_contour(a: Tensor3, target, nodes=DEFAULT_NODES) -> Tensor
     full = contour_for(c.sigma[c.sigma > 0.0], nodes)
     circle = full.circles[k]
     sub = Contour(circles=(circle,), nodes_per_circle=nodes)
-    acc = Tensor3.zeros(a.n, a.m, a.p)
-    for z, w in _quad_nodes(sub):
-        acc = acc + w * resolvent_eval(res, z)
+    acc = _contour_sum(res, sub, lambda z: 1.0)
     e = res.E
     return tprod(e, tprod(acc, e))
 
@@ -216,11 +239,7 @@ def pinv_contour(a: Tensor3, nodes=DEFAULT_NODES) -> Tensor3:
         return Tensor3.zeros(a.n, a.m, a.p)
     if np.any(c.sigma <= 0.0):
         raise ZeroSingularValue("contour pseudoinverse needs a full rank window")
-    contour = contour_for(c.sigma, nodes)
-    acc = Tensor3.zeros(a.n, a.m, a.p)
-    for z, w in _quad_nodes(contour):
-        acc = acc + (w / z) * resolvent_eval(res, z)
-    return acc
+    return _contour_sum(res, contour_for(c.sigma, nodes), lambda z: 1.0 / z)
 
 
 def solve_axb_contour(a: Tensor3, b: Tensor3, d: Tensor3, nodes=DEFAULT_NODES) -> Tensor3:
@@ -260,6 +279,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
     else:
         _, (rhs,) = to_faces(b, allow_half=False)
     out = np.zeros(rhs.shape, dtype=np.complex128)
-    for z, w in _quad_nodes(contour):
-        out += complex(f(np.array([z]))[0]) * w * np.linalg.solve(z * eye - faces, rhs)
+    for zs, ws in _quad_nodes(contour):
+        for z, fw in zip(zs, f(zs) * ws):
+            out += complex(fw) * np.linalg.solve(z * eye - faces, rhs)
     return from_faces(out, a.p, half=False)

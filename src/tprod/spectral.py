@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Tensor3
+from .errors import NonFinite
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -39,8 +40,12 @@ def to_faces(*tensors, allow_half=True):
 
     ``half`` is true when ``allow_half`` is set and every operand is exactly
     real; each stack then holds faces 0..p//2 only. Otherwise each stack
-    holds all p faces.
+    holds all p faces. Raises :class:`NonFinite` before any transform when
+    an operand holds a NaN or an infinity, so none reaches LAPACK.
     """
+    for t in tensors:
+        if not np.isfinite(t.data).all():
+            raise NonFinite(f"{t.m} x {t.n} x {t.p} tensor holds a NaN or an infinity")
     half = allow_half and all(t.exactly_real for t in tensors)
     if half:
         return True, [np.fft.rfft(t.data.real, axis=0) for t in tensors]

@@ -188,6 +188,48 @@ def test_cli_apply_zero_gate_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_cli_apply_spectral_factors_once(tmp_path, rng, monkeypatch):
+    import tprod.genfun
+
+    calls = []
+    real_tcsvd = tprod.genfun.tcsvd
+
+    def counting_tcsvd(*args, **kwargs):
+        calls.append(1)
+        return real_tcsvd(*args, **kwargs)
+
+    monkeypatch.setattr(tprod.genfun, "tcsvd", counting_tcsvd)
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, rand3(rng, 3, 2, 4))
+    rc = main(["apply", str(src), "--fn", "sinh", "--out", str(tmp_path / "out.tt3a")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["--generalized", "--standard"])
+def test_cli_invalid_contour_is_usage_error(tmp_path, capsys, rng, mode):
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, rand3(rng, 3, 3, 2))
+    rc = main(["apply", str(src), "--fn", "sinh", mode, "--method", "contour",
+               "--nodes", "8", "--out", str(tmp_path / "out.tt3a")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):
+    import tprod.cli
+
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(tprod.cli, "cmd_info", broken)
+    rc = main(["info", "any.tt3a"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: RuntimeError: first line second line\n"
+
+
 def test_cli_pinv(tmp_path, rng):
     a = rand3(rng, 3, 2, 2)
     src = tmp_path / "a.tt3a"

@@ -37,10 +37,13 @@ from tprod import (
 )
 from tprod.errors import (
     EmptyValues,
+    InvalidContour,
     NearSingularShift,
     ZeroSingularValue,
     ZeroSingularValueRequiresFZero,
 )
+
+from tprod.solve import _quad_nodes
 
 from conftest import rand3, rand_face_ranks, rand_low_rank
 
@@ -200,6 +203,62 @@ def test_contour_disjointness_validated():
         Contour(circles=((0j, 1.0), (1 + 0j, 1.0)), nodes_per_circle=64)
     with pytest.raises(ValueError):
         Contour(circles=((0j, 1.0),), nodes_per_circle=4)
+
+
+def test_contour_errors_are_invalid_contour():
+    with pytest.raises(InvalidContour):
+        Contour(circles=((1 + 0j, 0.0),), nodes_per_circle=64)
+    with pytest.raises(InvalidContour):
+        contour_for([1.0], nodes=8)
+
+
+def _per_node_sum(res, contour, coef):
+    """The quadrature as one resolvent Tensor3 per node, summed node by node."""
+    acc = Tensor3.zeros(res.csvd.n, res.csvd.m, res.csvd.p)
+    for zs, ws in _quad_nodes(contour):
+        for z, w in zip(zs, ws):
+            acc = acc + complex(coef(z) * w) * resolvent_eval(res, z)
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (3, 2, 5), (2, 4, 6), (3, 3, 3)])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_contour_oracles_match_per_node_sum(rng, shape, cplx):
+    a = rand3(rng, *shape, cplx=cplx)
+    res = Resolvent.of(a)
+    sigma = res.csvd.sigma
+    e = res.E
+    nodes = 64
+
+    full = contour_for(sigma[sigma > 0.0], nodes)
+    acc = _per_node_sum(res, full, lambda z: SQ(np.array([z]))[0])
+    want = tprod(e, tprod(acc, e))
+    got = gfun_contour(a, SQ, nodes=nodes)
+    assert fnorm(got - want) <= 1e-12 * fnorm(want)
+
+    want = _per_node_sum(res, contour_for(sigma, nodes), lambda z: 1.0 / z)
+    got = pinv_contour(a, nodes=nodes)
+    assert fnorm(got - want) <= 1e-12 * fnorm(want)
+
+    top = max(full.circles, key=lambda cr: cr[0].real)
+    acc = _per_node_sum(res, Contour(circles=(top,), nodes_per_circle=nodes), lambda z: 1.0)
+    want = tprod(e, tprod(acc, e))
+    got = cluster_projector_contour(a, float(sigma.max()), nodes=nodes)
+    assert fnorm(got - want) <= 1e-12 * fnorm(want)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_gfun_contour_guards_every_node(rng, side):
+    # a circle through the largest singular value: node 0 lands on it when the
+    # center is below it, node nodes/2 when above; a harmless circle comes first
+    a = rand3(rng, 3, 3, 4)
+    sigma = tcsvd(a).sigma
+    smax = float(sigma.max())
+    rad = 0.25 * smax
+    circles = ((complex(-2.0 * smax), rad), (complex(smax + side * rad), rad))
+    contour = Contour(circles=circles, nodes_per_circle=64)
+    with pytest.raises(NearSingularShift):
+        gfun_contour(a, SQ, contour=contour)
 
 
 def test_gfun_contour_identity_fn(rng):

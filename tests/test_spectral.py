@@ -6,8 +6,10 @@ from tprod import (
     bcirc,
     conj_transpose,
     fnorm,
+    gfun,
     identity,
     isometry,
+    named_scalar_fn,
     partial_isometries,
     pinv,
     projectors,
@@ -19,6 +21,7 @@ from tprod import (
     is_unitary,
 )
 
+from tprod.errors import NonFinite
 from tprod.spectral import from_faces, to_faces
 
 from conftest import rand3, rand_low_rank
@@ -239,3 +242,19 @@ def test_decomposition_determinism(rng):
     assert np.array_equal(c1.sigma, c2.sigma)
     assert np.array_equal(c1.uf, c2.uf)
     assert np.array_equal(c1.vhf, c2.vhf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("entry", ["tcsvd", "gfun", "pinv", "tprod"])
+def test_non_finite_input_rejected_before_lapack(rng, entry, bad):
+    data = rand3(rng, 3, 2, 4).data.copy()
+    data[1, 2, 0] = bad
+    a = Tensor3(data)
+    calls = {
+        "tcsvd": lambda: tcsvd(a),
+        "gfun": lambda: gfun(a, named_scalar_fn("sinh")),
+        "pinv": lambda: pinv(a),
+        "tprod": lambda: tprod(a, rand3(rng, 2, 3, 4)),
+    }
+    with pytest.raises(NonFinite):
+        calls[entry]()
