@@ -305,22 +305,55 @@ def _matrix_series(d, f, face_index):
     raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
 
 
-def _matrix_function(d, f, face_index, cond_limit, force_series):
+def _values_on(f, w):
+    # a constant f may return a scalar
+    return np.broadcast_to(np.asarray(f(w), dtype=np.complex128), w.shape)
+
+
+def _matrix_functions(faces, f, cond_limit, force_series):
+    """f of every face of an (h, n, n) stack, each by its own eigendecomposition.
+
+    Hermitian faces go through one batched ``eigh``, the others through one
+    batched ``eig`` whose eigenvector matrices must pass the ``cond_limit``
+    guard; faces that fail it take the power series one at a time. Errors
+    come from the lowest-indexed failing face, as a face-by-face loop would
+    raise them.
+    """
     if force_series:
-        return _matrix_series(d, f, face_index)
-    scale = max(np.linalg.norm(d), 1.0)
-    if np.linalg.norm(d - d.conj().T) <= 1e-12 * scale:
-        w, v = np.linalg.eigh(d)
-        fw = np.asarray(f(w.astype(np.complex128)), dtype=np.complex128)
-        return (v * fw) @ v.conj().T
-    w, v = np.linalg.eig(d)
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > cond_limit:
-        return _matrix_series(d, f, face_index)
-    fw = np.asarray(f(w), dtype=np.complex128)
-    if not np.all(np.isfinite(fw)):
-        raise FnDomainError(f"{f.name or 'f'} not finite on the spectrum of face {face_index}")
-    return (v * fw) @ np.linalg.inv(v)
+        return np.stack([_matrix_series(d, f, i) for i, d in enumerate(faces)])
+    h = len(faces)
+    scale = np.maximum(np.linalg.norm(faces, axis=(-2, -1)), 1.0)
+    skew = np.linalg.norm(faces - faces.conj().swapaxes(-2, -1), axis=(-2, -1))
+    herm = skew <= 1e-12 * scale
+    # per path: face indices, eigenvectors V, f of the eigenvalues, V^-1
+    parts = []
+    flagged = np.zeros(0, dtype=int)
+    if herm.any():
+        idx = np.flatnonzero(herm)
+        w, v = np.linalg.eigh(faces[idx])
+        parts.append((idx, v, _values_on(f, w.astype(np.complex128)), v.conj().swapaxes(-2, -1)))
+    if not herm.all():
+        idx = np.flatnonzero(~herm)
+        w, v = np.linalg.eig(faces[idx])
+        sv = np.linalg.svd(v, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = (sv[:, -1] <= 0) | (sv[:, 0] / sv[:, -1] > cond_limit)
+        flagged = idx[bad]
+        if not bad.all():
+            v = v[~bad]
+            parts.append((idx[~bad], v, _values_on(f, w[~bad]), np.linalg.inv(v)))
+    finite = np.ones(h, dtype=bool)
+    for idx, _, fw, _ in parts:
+        finite[idx] = np.isfinite(fw).all(axis=-1)
+    first_bad = int(np.argmin(finite)) if not finite.all() else h
+    out = np.empty(faces.shape, dtype=np.complex128)
+    for i in flagged[flagged < first_bad]:
+        out[i] = _matrix_series(faces[i], f, int(i))
+    if first_bad < h:
+        raise FnDomainError(f"{f.name or 'f'} not finite on the spectrum of face {first_bad}")
+    for idx, v, fw, vinv in parts:
+        out[idx] = (v * fw[:, None, :]) @ vinv
+    return out
 
 
 def _looks_real_analytic(f):
@@ -336,15 +369,16 @@ def _looks_real_analytic(f):
 def standard_tfn(a: Tensor3, f: ScalarFn, cond_limit=1e8, force_series=False) -> Tensor3:
     """Standard T-function: the matrix function of every DFT face.
 
-    Equals bcirc_inv(f(bcirc(a))). Primary path is a face eigendecomposition
-    with a conditioning guard; a declared power series is the fallback.
+    Equals bcirc_inv(f(bcirc(a))). Primary path is one batched
+    eigendecomposition per call over the whole face stack (``eigh`` for the
+    Hermitian faces, ``eig`` for the rest) with a conditioning guard on each
+    face; a declared power series is the fallback for the faces that fail it.
     """
     if a.m != a.n:
         raise DimMismatch(f"standard T-function needs an F-square tensor, got {a.shape}")
     return apply_facewise(
         a,
-        lambda faces: [_matrix_function(d, f, i, cond_limit, force_series)
-                       for i, d in enumerate(faces)],
+        lambda faces: _matrix_functions(faces, f, cond_limit, force_series),
         conj_equivariant=_looks_real_analytic(f),
     )
 

@@ -78,12 +78,7 @@ def _checked(path, data) -> Tensor3:
     return Tensor3(data)
 
 
-def _fmt_real(x):
-    return repr(float(np.real(x)))
-
-
-def _fmt_complex(z):
-    re_, im = float(z.real), float(z.imag)
+def _fmt_complex(re_, im):
     sign = "+" if im >= 0 or im != im else "-"
     return f"{re_!r}{sign}{abs(im)!r}i"
 
@@ -109,12 +104,17 @@ def _parse_value(tok, complex_file):
 def write_text(path, a: Tensor3, force_complex=False):
     real = a.exactly_real and not force_complex
     dtype = "real64" if real else "complex128"
-    fmt = _fmt_real if real else _fmt_complex
     with open(path, "w") as fh:
         fh.write(f"{a.m} {a.n} {a.p} {dtype}\n")
-        for k in range(a.p):
-            for i in range(a.m):
-                fh.write(" ".join(fmt(v) for v in a.data[k, i]) + "\n")
+        # a slice at a time; tolist() yields Python floats, whose repr is the
+        # shortest round-trip form
+        for d in a.data:
+            if real:
+                lines = [" ".join(map(repr, row)) for row in d.real.tolist()]
+            else:
+                lines = [" ".join(map(_fmt_complex, row, im))
+                         for row, im in zip(d.real.tolist(), d.imag.tolist())]
+            fh.write("\n".join(lines) + "\n")
 
 
 def read_text(path) -> Tensor3:

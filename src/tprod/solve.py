@@ -162,6 +162,15 @@ def contour_for(values, nodes=DEFAULT_NODES) -> Contour:
     return Contour(circles=tuple(circles), nodes_per_circle=int(nodes))
 
 
+def _check_encloses(contour, values):
+    """Every value must lie strictly inside some circle, or it drops out of the integral."""
+    centers = np.array([c for c, _ in contour.circles])
+    radii = np.array([r for _, r in contour.circles])
+    inside = np.abs(np.asarray(values).reshape(-1, 1) - centers) < radii
+    if not inside.any(axis=1).all():
+        raise InvalidContour("contour leaves a positive singular value unenclosed")
+
+
 def _quad_nodes(contour):
     """Per circle, node and weight arrays (z, w): (1/2 pi i) . oint g dz ~ sum g(z) w."""
     k = contour.nodes_per_circle
@@ -198,7 +207,9 @@ def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
 
     f_gen(A) = E * ((1/2 pi i) oint f(z) (z E - A)^+ dz) * E, quadratured on
     circles around the distinct singular values. Cross-check oracle for
-    :func:`tprod.genfun.gfun`; not the production path.
+    :func:`tprod.genfun.gfun`; not the production path. An explicit
+    ``contour`` must enclose every positive windowed singular value, else
+    :class:`InvalidContour`.
     """
     res = Resolvent.of(a)
     c = res.csvd
@@ -206,9 +217,13 @@ def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
         return Tensor3.zeros(a.m, a.n, a.p)
     if np.any(c.sigma <= 0.0) and f.value_at_zero != 0:
         raise ZeroSingularValueRequiresFZero("zero singular value in window but f(0) != 0")
+    positive = c.sigma[c.sigma > 0.0]
     if contour is None:
-        contour = contour_for(c.sigma[c.sigma > 0.0], nodes)
-    acc = _contour_sum(res, contour, f)
+        acc = _contour_sum(res, contour_for(positive, nodes), f)
+    else:
+        acc = _contour_sum(res, contour, f)
+        # checked after the sum, so a value on the contour is reported by the node guard
+        _check_encloses(contour, positive)
     e = res.E
     return tprod(e, tprod(acc, e))
 
@@ -220,10 +235,13 @@ def cluster_projector_contour(a: Tensor3, target, nodes=DEFAULT_NODES) -> Tensor
     """
     res = Resolvent.of(a)
     c = res.csvd
-    centers = _cluster(c.sigma[c.sigma > 0.0])
+    positive = c.sigma[c.sigma > 0.0]
+    if positive.size == 0:
+        raise EmptyValues("cluster projector needs at least one positive singular value")
+    centers = _cluster(positive)
     target = float(target)
     k = int(np.argmin([abs(t - target) for t in centers]))
-    full = contour_for(c.sigma[c.sigma > 0.0], nodes)
+    full = contour_for(positive, nodes)
     circle = full.circles[k]
     sub = Contour(circles=(circle,), nodes_per_circle=nodes)
     acc = _contour_sum(res, sub, lambda z: 1.0)

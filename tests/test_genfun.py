@@ -29,6 +29,7 @@ from tprod import (
     transpose,
 )
 from tprod.errors import (
+    DefectiveFace,
     FnDomainError,
     NoConvergence,
     RadiusViolation,
@@ -203,6 +204,57 @@ def test_standard_tfn_series_path_matches_eig(rng):
     lhs = standard_tfn(a, EXP, force_series=True)
     rhs = standard_tfn(a, EXP)
     assert fnorm(lhs - rhs) <= 1e-11 * max(fnorm(rhs), 1.0)
+
+
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+HERM = np.array([[0.5, 0.25], [0.25, -0.375]])
+GENERAL = np.array([[0.5, 0.75], [-0.125, 0.25]])
+LN1P_POLE = np.array([[-1.0, 0.0], [0.0, 0.5]])  # Hermitian, ln1p(-1) = -inf
+
+
+def _tensor_with_faces(faces):
+    # p = 4 and dyadic entries keep the DFT round trip exact, so the Jordan
+    # face reaches the kernel unperturbed
+    faces = np.asarray(faces, dtype=np.complex128)
+    a = Tensor3(np.fft.ifft(faces, axis=0))
+    assert np.array_equal(np.fft.fft(a.data, axis=0), faces)
+    return a
+
+
+def test_standard_tfn_jordan_face_takes_series():
+    faces = [HERM, GENERAL, JORDAN, 1j * GENERAL]
+    out = np.fft.fft(standard_tfn(_tensor_with_faces(faces), EXP).data, axis=0)
+    for d, got in zip(faces, out):
+        want = scipy.linalg.expm(d)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("faces, err, face", [
+    ([HERM, JORDAN, GENERAL, HERM], DefectiveFace, 1),
+    ([HERM, JORDAN, LN1P_POLE, GENERAL], DefectiveFace, 1),
+    ([GENERAL, LN1P_POLE, JORDAN, HERM], FnDomainError, 1),
+])
+def test_standard_tfn_lowest_failing_face_raises(faces, err, face):
+    # sign has no series, so a Jordan face is defective; ln1p is not finite
+    # on LN1P_POLE; the lowest failing face decides the error either way
+    f = named_scalar_fn("sign") if err is DefectiveFace else named_scalar_fn("ln1p")
+    with np.errstate(divide="ignore"), pytest.raises(err, match=f"face {face}"):
+        standard_tfn(_tensor_with_faces(faces), f)
+
+
+def test_standard_tfn_hermitian_face_checks_finiteness():
+    with np.errstate(divide="ignore"), pytest.raises(FnDomainError, match="face 0"):
+        standard_tfn(Tensor3(LN1P_POLE[None]), named_scalar_fn("ln1p"))
+
+
+@pytest.mark.parametrize("p", [1, 4, 5])
+def test_standard_tfn_real_in_real_out_on_every_path(rng, p):
+    jordan = np.zeros((p, 2, 2))
+    jordan[0] = JORDAN  # every face is the Jordan block: the series path
+    sym = rand3(rng, 3, 3, 1)
+    sym = Tensor3(np.repeat(sym.data + sym.data.transpose(0, 2, 1), p, axis=0))
+    for a in (Tensor3(jordan), sym, rand3(rng, 3, 3, p)):
+        assert standard_tfn(a, EXP).exactly_real
 
 
 def test_gpower_basics(rng):

@@ -36,6 +36,40 @@ def test_text_round_trip_bitwise(tmp_path, rng):
         assert np.array_equal(a.data, b.data)
 
 
+def test_text_writer_golden_bytes(tmp_path):
+    # shortest round-trip reprs from subnormals to the top of the range; a -0.0
+    # imaginary part is written +0.0i
+    re_ = np.array([[[5e-324, -0.0, 1e-310], [1.7976931348623157e308, -2.5e-300, 0.1]],
+                    [[1e308, 3.0, -1.5e-05], [123456.789, -7e22, 2.2250738585072014e-308]]])
+    z = np.array([
+        [[complex(5e-324, -0.0), complex(-0.0, 5e-324)], [complex(1e-310, -1e308), 0.1 + 0.2j]],
+        [[complex(-1.7976931348623157e308, 1e-300), complex(2.0, -3.5e-7)],
+         [complex(-0.0, -0.0), complex(6.02214076e23, -5e-324)]],
+    ])
+    cases = [
+        (Tensor3(re_), False,
+         "2 3 2 real64\n"
+         "5e-324 -0.0 1e-310\n"
+         "1.7976931348623157e+308 -2.5e-300 0.1\n"
+         "1e+308 3.0 -1.5e-05\n"
+         "123456.789 -7e+22 2.2250738585072014e-308\n"),
+        (Tensor3(z), False,
+         "2 2 2 complex128\n"
+         "5e-324+0.0i -0.0+5e-324i\n"
+         "1e-310-1e+308i 0.1+0.2i\n"
+         "-1.7976931348623157e+308+1e-300i 2.0-3.5e-07i\n"
+         "-0.0+0.0i 6.02214076e+23-5e-324i\n"),
+        (Tensor3(re_[:1, :1]), True,
+         "1 3 1 complex128\n"
+         "5e-324+0.0i -0.0+0.0i 1e-310+0.0i\n"),
+    ]
+    for i, (a, force_complex, want) in enumerate(cases):
+        path = tmp_path / f"g{i}.txt"
+        write_text(path, a, force_complex=force_complex)
+        assert path.read_bytes() == want.encode()
+        assert np.array_equal(read_text(path).data, a.data)
+
+
 def test_read_tensor_dispatches(tmp_path, rng):
     a = rand3(rng, 2, 2, 2)
     write_binary(tmp_path / "b.tt3a", a)
@@ -215,6 +249,19 @@ def test_cli_invalid_contour_is_usage_error(tmp_path, capsys, rng, mode):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_standard_fn_off_domain_is_usage_error(tmp_path, capsys):
+    # ln1p(-1) = -inf on a Hermitian face must not come back as NaN
+    src = tmp_path / "m1.txt"
+    src.write_text("1 1 1 real64\n-1.0\n")
+    out = tmp_path / "o.tt3a"
+    with np.errstate(divide="ignore"):
+        rc = main(["apply", str(src), "--fn", "ln1p", "--standard", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):

@@ -212,6 +212,20 @@ def test_contour_errors_are_invalid_contour():
         contour_for([1.0], nodes=8)
 
 
+def test_cluster_projector_contour_rank_zero_is_empty():
+    with pytest.raises(EmptyValues):
+        cluster_projector_contour(Tensor3.zeros(2, 2, 3), 1.0)
+
+
+def test_gfun_contour_explicit_contour_must_enclose():
+    a = Tensor3(np.ones((1, 1, 1)))
+    sinh = named_scalar_fn("sinh")
+    with pytest.raises(InvalidContour):
+        gfun_contour(a, sinh, contour=Contour(((5 + 0j, 1.0),), 64))
+    out = gfun_contour(a, sinh, contour=Contour(((1 + 0j, 0.5),), 64))
+    assert abs(out.data[0, 0, 0] - np.sinh(1.0)) <= 1e-12
+
+
 def _per_node_sum(res, contour, coef):
     """The quadrature as one resolvent Tensor3 per node, summed node by node."""
     acc = Tensor3.zeros(res.csvd.n, res.csvd.m, res.csvd.p)
