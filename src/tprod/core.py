@@ -42,14 +42,6 @@ class Tensor3:
     def zeros(cls, m, n, p):
         return cls(np.zeros((p, m, n), dtype=np.complex128))
 
-    @classmethod
-    def from_flat(cls, flat, m, n, p):
-        """Build from m*n*p scalars in slice-major order."""
-        flat = np.asarray(flat, dtype=np.complex128)
-        if flat.size != m * n * p:
-            raise DimMismatch(f"need {m * n * p} entries, got {flat.size}")
-        return cls(flat.reshape(p, m, n))
-
     @property
     def m(self):
         return self.data.shape[1]
@@ -75,15 +67,8 @@ class Tensor3:
         """True when every imaginary part is <= tol * (1 + |entry|)."""
         return bool(np.all(np.abs(self.data.imag) <= tol * (1.0 + np.abs(self.data))))
 
-    def real_part(self):
-        return Tensor3(self.data.real)
-
     def conj(self):
         return Tensor3(self.data.conj())
-
-    def slice(self, k):
-        """k-th frontal slice (0-indexed) as an (m, n) array copy."""
-        return np.array(self.data[k])
 
     def __add__(self, other):
         _check_same_shape(self, other)
@@ -130,11 +115,25 @@ def fold(mat, m, n, p) -> Tensor3:
     return Tensor3(mat.reshape(p, m, n))
 
 
+def circulant_index(p) -> np.ndarray:
+    """(p, p) labels (i - j) mod p: the circulant diagonal of each grid cell."""
+    rows = np.arange(p)
+    return (rows[:, None] - rows[None, :]) % p
+
+
+def circulant_means(grid) -> np.ndarray:
+    """Diagonal means of a (p, p, ...) grid: entry d averages the cells with label d.
+
+    ``circulant_means(grid)[circulant_index(p)]`` is the nearest circulant grid.
+    """
+    p = grid.shape[0]
+    return grid[np.arange(p), circulant_index(p).T].mean(axis=1)
+
+
 def bcirc(a: Tensor3) -> np.ndarray:
     """Block-circulant (m*p, n*p) matrix whose first block column is unfold(a)."""
     p = a.p
-    idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    blocks = a.data[idx]  # (p, p, m, n), block (i, j) = slice (i - j) mod p
+    blocks = a.data[circulant_index(p)]  # (p, p, m, n), block (i, j) = slice (i - j) mod p
     return blocks.transpose(0, 2, 1, 3).reshape(p * a.m, p * a.n).copy()
 
 
@@ -150,8 +149,7 @@ def bcirc_inv(mat, m, n, p, rtol=BCIRC_STRUCTURE_RTOL) -> Tensor3:
     if mat.shape != (m * p, n * p):
         raise DimMismatch(f"expected shape {(m * p, n * p)}, got {mat.shape}")
     blocks = mat.reshape(p, m, p, n).swapaxes(1, 2)  # (p, p, m, n)
-    rows = np.arange(p)
-    proj = np.stack([blocks[rows, (rows - d) % p].mean(axis=0) for d in range(p)])
+    proj = circulant_means(blocks)
     scale = np.linalg.norm(mat)
     if scale > 0.0:
         residual = np.linalg.norm(mat - bcirc(Tensor3(proj))) / scale
@@ -188,42 +186,27 @@ def block(rows) -> Tensor3:
     if not rows or not all(isinstance(r, (list, tuple)) and len(r) == len(rows[0]) for r in rows):
         raise DimMismatch("block spec must be a rectangular list of lists")
     nr, nc = len(rows), len(rows[0])
-
-    p = None
-    row_m = [None] * nr
-    col_n = [None] * nc
-    for i in range(nr):
-        for j in range(nc):
-            e = rows[i][j]
-            if isinstance(e, Tensor3):
-                if p is None:
-                    p = e.p
-                elif e.p != p:
-                    raise DimMismatch("all blocks must share the tube length p")
-                if row_m[i] is None:
-                    row_m[i] = e.m
-                elif row_m[i] != e.m:
-                    raise DimMismatch(f"inconsistent row heights in block row {i}")
-                if col_n[j] is None:
-                    col_n[j] = e.n
-                elif col_n[j] != e.n:
-                    raise DimMismatch(f"inconsistent column widths in block column {j}")
-    if p is None or any(v is None for v in row_m) or any(v is None for v in col_n):
+    tensors = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)
+               if isinstance(e, Tensor3)]
+    row_m, col_n = {}, {}
+    for i, j, e in tensors:
+        if e.p != tensors[0][2].p:
+            raise DimMismatch("all blocks must share the tube length p")
+        if row_m.setdefault(i, e.m) != e.m:
+            raise DimMismatch(f"inconsistent row heights in block row {i}")
+        if col_n.setdefault(j, e.n) != e.n:
+            raise DimMismatch(f"inconsistent column widths in block column {j}")
+    if len(row_m) < nr or len(col_n) < nc:
         raise DimMismatch("zero blocks leave some block dimensions undetermined")
 
-    slices = []
-    for k in range(p):
-        grid = [
-            [
-                rows[i][j].data[k]
-                if isinstance(rows[i][j], Tensor3)
-                else np.zeros((row_m[i], col_n[j]), dtype=np.complex128)
-                for j in range(nc)
-            ]
-            for i in range(nr)
-        ]
-        slices.append(np.block(grid))
-    return Tensor3(np.stack(slices))
+    # np.block joins the (p, m, n) stacks along their last two axes
+    p = tensors[0][2].p
+    grid = [
+        [e.data if isinstance(e, Tensor3) else np.zeros((p, row_m[i], col_n[j]))
+         for j, e in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return Tensor3(np.block(grid))
 
 
 def fnorm(a: Tensor3) -> float:

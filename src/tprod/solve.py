@@ -166,9 +166,10 @@ def _check_encloses(contour, values):
     """Every value must lie strictly inside some circle, or it drops out of the integral."""
     centers = np.array([c for c, _ in contour.circles])
     radii = np.array([r for _, r in contour.circles])
-    inside = np.abs(np.asarray(values).reshape(-1, 1) - centers) < radii
-    if not inside.any(axis=1).all():
-        raise InvalidContour("contour leaves a positive singular value unenclosed")
+    values = np.asarray(values).ravel()
+    missed = values[~(np.abs(values[:, None] - centers) < radii).any(axis=1)]
+    if missed.size:
+        raise InvalidContour(f"contour leaves {missed[0]:.6g} unenclosed")
 
 
 def _quad_nodes(contour):
@@ -280,6 +281,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
     # the full spectrum, so this oracle shares no half-spectrum logic with standard_tfn
     _, (faces,) = to_faces(a, allow_half=False)
     eigs = np.linalg.eigvals(faces).ravel()
+    explicit = contour is not None
     if contour is None:
         center = complex(eigs.mean())
         spread = float(np.abs(eigs - center).max())
@@ -290,6 +292,8 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
         margin = np.abs(np.abs(eigs - center) - rad).min()
         if margin < 1e-8 * scale:
             raise EigenvalueOnContour(f"face eigenvalue within {margin:.3e} of the contour")
+    if explicit:  # the default circle encloses every eigenvalue by construction
+        _check_encloses(contour, eigs)
 
     eye = np.eye(a.n)
     if b is None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FormKind, adjoint, identity, is_unitary, tprod
-from .core import Tensor3, bcirc, block, conj_transpose, fnorm, transpose
+from .core import (Tensor3, bcirc, block, circulant_index, circulant_means, conj_transpose,
+                   fnorm, transpose)
 from .errors import (
     BadPermutation,
     ConsistencyError,
@@ -70,8 +71,9 @@ def make_permutation(perm, n, p) -> Tensor3:
 class StructClass:
     """A structured-tensor class, possibly with parameters.
 
-    ``a``/``b`` split the signature form; ``q`` is the circulant block size
-    for F-block-circulant tensors.
+    ``a``/``b`` split the signature form; ``q`` (a positive integer) is the
+    circulant block size of F-block-circulant tensors, and F-circulant is
+    q = 1. No other class takes a block size.
     """
 
     name: str
@@ -79,12 +81,23 @@ class StructClass:
     b: int = None
     q: int = None
 
+    def __post_init__(self):
+        if self.q is None:
+            return
+        if self.name != "f_block_circulant":
+            raise UnsupportedClass(f"{self.name} takes no block size")
+        if not (isinstance(self.q, (int, np.integer)) and self.q >= 1):
+            raise UnsupportedClass(f"block size must be a positive integer, got {self.q!r}")
+
     @classmethod
     def parse(cls, text):
         text = text.strip()
         if "(" in text and text.endswith(")"):
             base, args = text[:-1].split("(", 1)
-            nums = [int(v) for v in args.split(",") if v.strip()]
+            try:
+                nums = [int(v) for v in args.split(",") if v.strip()]
+            except ValueError:
+                raise UnsupportedClass(f"class parameters must be integers, got {text!r}") from None
             if base in ("pseudo_symmetric", "pseudo_skew_symmetric", "pseudo_hermitian",
                         "pseudo_skew_hermitian", "pseudo_orthogonal", "pseudo_unitary",
                         "complex_pseudo_symmetric", "complex_pseudo_skew_symmetric",
@@ -93,6 +106,8 @@ class StructClass:
                     raise UnsupportedClass(f"{base} takes two integers, got {text!r}")
                 return cls(base, a=nums[0], b=nums[1])
             if base == "f_block_circulant":
+                if len(nums) > 1:
+                    raise UnsupportedClass(f"{base} takes at most one integer, got {text!r}")
                 return cls(base, q=nums[0] if nums else None)
             raise UnsupportedClass(f"unknown parametric class {text!r}")
         return cls(text)
@@ -171,24 +186,22 @@ def _form_for(cls: StructClass, n, p) -> FormKind:
     return FormKind(kind, t)
 
 
-def _project_circulant(mat):
-    n = mat.shape[0]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    means = np.array([mat[idx == d].mean() for d in range(n)])
-    return means[idx]
+def _project_block_circulant(data, q):
+    """Slice by slice, the nearest block-circulant matrix with circulant q x q blocks.
 
-
-def _project_block_circulant(mat, q):
-    # nearest block-circulant matrix with circulant q x q blocks
-    n = mat.shape[0]
+    F-circulant is the case q = 1.
+    """
+    p, m, n = data.shape
+    if m != n:
+        raise DimMismatch(f"F-(block-)circulant tensors are F-square, got {m}x{n} slices")
+    if n % q:
+        raise DimMismatch(f"block size {q} does not divide n={n}")
     nb = n // q
-    blocks = mat.reshape(nb, q, nb, q).swapaxes(1, 2)
-    rows = np.arange(nb)
-    out = np.empty_like(blocks)
-    for d in range(nb):
-        mean_block = _project_circulant(blocks[rows, (rows - d) % nb].mean(axis=0))
-        out[rows, (rows - d) % nb] = mean_block
-    return out.swapaxes(1, 2).reshape(n, n)
+    grid = data.reshape(p, nb, q, nb, q).transpose(1, 3, 2, 4, 0)  # (nb, nb, q, q, p)
+    block_means = circulant_means(grid)  # (nb, q, q, p)
+    means = circulant_means(block_means.transpose(1, 2, 0, 3))  # (q, nb, p)
+    out = means[circulant_index(q)[None, :, None, :], circulant_index(nb)[:, None, :, None]]
+    return np.moveaxis(out, -1, 0).reshape(p, n, n)
 
 
 def membership_residual(t: Tensor3, cls: StructClass, tol_rank=None) -> float:
@@ -219,18 +232,8 @@ def membership_residual(t: Tensor3, cls: StructClass, tol_rank=None) -> float:
         th = conj_transpose(t)
         gram = tprod(t, th)
         return fnorm(gram - tprod(th, t)) / max(fnorm(gram), _TINY)
-    if name == "f_circulant":
-        if t.m != t.n:
-            raise DimMismatch("F-circulant tensors are F-square")
-        proj = np.stack([_project_circulant(t.data[k]) for k in range(t.p)])
-        return fnorm(t - Tensor3(proj)) / scale
-    if name == "f_block_circulant":
-        if t.m != t.n:
-            raise DimMismatch("F-block-circulant tensors are F-square")
-        q = cls.q or 1
-        if t.n % q:
-            raise DimMismatch(f"block size {q} does not divide n={t.n}")
-        proj = np.stack([_project_block_circulant(t.data[k], q) for k in range(t.p)])
+    if name in ("f_circulant", "f_block_circulant"):
+        proj = _project_block_circulant(t.data, cls.q or 1)
         return fnorm(t - Tensor3(proj)) / scale
     if name == "doubly_f_stochastic":
         if t.m != t.n:
@@ -286,24 +289,18 @@ def random_unitary(n, p, seed=0, real=True) -> Tensor3:
 
 
 def _sinkhorn_block_circulant(rng, n, p, max_sweeps=2000, tol=1e-12):
-    # alternate Sinkhorn balancing of bcirc with projection back onto the
-    # block-circulant structure; both constraint sets are affine-ish and the
-    # iteration converges quickly at these sizes
-    t = Tensor3(np.abs(rng.standard_normal((p, n, n))) + 0.1)
-    mat = bcirc(t).real
+    # Row (i, a) of bcirc(T) sums to row a of the slice sum S = sum_k T_k, and
+    # column (j, b) to column b of S. Sinkhorn balancing of S, with each
+    # scaling applied to every slice, therefore balances bcirc(T) and keeps it
+    # block-circulant.
+    t = np.abs(rng.standard_normal((p, n, n))) + 0.1
     for _ in range(max_sweeps):
-        mat /= mat.sum(axis=1, keepdims=True)
-        mat /= mat.sum(axis=0, keepdims=True)
-        blocks = mat.reshape(p, n, p, n).swapaxes(1, 2)
-        rows = np.arange(p)
-        slices = np.stack([blocks[rows, (rows - d) % p].mean(axis=0) for d in range(p)])
-        t = Tensor3(slices)
-        mat = bcirc(t).real
-        r = np.abs(mat.sum(axis=1) - 1.0).max()
-        c = np.abs(mat.sum(axis=0) - 1.0).max()
-        if max(r, c) <= tol:
+        t /= t.sum(axis=(0, 2))[:, None]
+        t /= t.sum(axis=(0, 1))
+        s = t.sum(axis=0)
+        if max(np.abs(s.sum(axis=1) - 1.0).max(), np.abs(s.sum(axis=0) - 1.0).max()) <= tol:
             break
-    return t
+    return Tensor3(t)
 
 
 def random_member(cls, shape, seed=0) -> Tensor3:
@@ -344,19 +341,8 @@ def random_member(cls, shape, seed=0) -> Tensor3:
         q, _ = np.linalg.qr(z)
         d = rng.standard_normal((p, 1, n)) + 1j * rng.standard_normal((p, 1, n))
         out = from_faces((q * d) @ q.conj().swapaxes(-1, -2), p, half=False)
-    elif name == "f_circulant":
-        if m != n:
-            raise DimMismatch("F-circulant members are F-square")
-        b = rng.standard_normal((p, n, n))
-        out = Tensor3(np.stack([_project_circulant(b[k]) for k in range(p)]))
-    elif name == "f_block_circulant":
-        if m != n:
-            raise DimMismatch("F-block-circulant members are F-square")
-        q = cls.q or 1
-        if n % q:
-            raise DimMismatch(f"block size {q} does not divide n={n}")
-        b = rng.standard_normal((p, n, n))
-        out = Tensor3(np.stack([_project_block_circulant(b[k], q) for k in range(p)]))
+    elif name in ("f_circulant", "f_block_circulant"):
+        out = Tensor3(_project_block_circulant(rng.standard_normal((p, m, n)), cls.q or 1))
     elif name == "doubly_f_stochastic":
         if m != n:
             raise DimMismatch("doubly F-stochastic members are F-square")

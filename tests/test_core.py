@@ -185,3 +185,27 @@ def test_block_degenerate_arrangements(rng):
     tall = block([[a], [c]])
     assert tall.shape == (5, 3, 2)
     assert np.allclose(tall.data[:, :2, :], a.data)
+
+
+def test_block_rejects_inconsistent_blocks(rng):
+    a = rand3(rng, 2, 3, 2)
+    with pytest.raises(DimMismatch):
+        block([[a, rand3(rng, 2, 3, 3)]])  # tube lengths differ
+    with pytest.raises(DimMismatch):
+        block([[a, rand3(rng, 3, 3, 2)]])  # row heights differ
+    with pytest.raises(DimMismatch):
+        block([[a], [rand3(rng, 2, 2, 2)]])  # column widths differ
+    with pytest.raises(DimMismatch):
+        block([[a, 0]])  # the zero block's width is undetermined
+
+
+def test_bcirc_inv_and_block_round_trip_at_p1(rng):
+    a = rand3(rng, 2, 3, 1, cplx=True)
+    assert np.array_equal(bcirc(a), a.data[0])
+    assert np.array_equal(bcirc_inv(bcirc(a), 2, 3, 1).data, a.data)
+    b = rand3(rng, 2, 2, 1)
+    c = rand3(rng, 4, 2, 1, cplx=True)
+    t = block([[a, b], [0, c]])
+    want = np.block([[a.data[0], b.data[0]], [np.zeros((4, 3)), c.data[0]]])
+    assert np.array_equal(t.data, want[None])
+    assert np.array_equal(bcirc_inv(bcirc(t), 6, 5, 1).data, t.data)

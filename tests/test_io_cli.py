@@ -355,6 +355,20 @@ def test_cli_check_unknown_class(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec", [
+    "f_block_circulant(-2)", "f_block_circulant(x)", "f_block_circulant(0)",
+    "f_block_circulant(2,3)",
+])
+def test_cli_check_bad_class_parameter_is_usage_error(tmp_path, capsys, spec):
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, identity(4, 3))
+    rc = main(["check", str(src), "--class", spec])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ValueError" not in err and "Traceback" not in err
+
+
 def test_cli_missing_file_is_io_error(capsys):
     rc = main(["info", "/nonexistent/never.tt3a"])
     assert rc == 4

@@ -36,6 +36,7 @@ from tprod import (
     unfold,
 )
 from tprod.errors import (
+    EigenvalueOnContour,
     EmptyValues,
     InvalidContour,
     NearSingularShift,
@@ -224,6 +225,18 @@ def test_gfun_contour_explicit_contour_must_enclose():
         gfun_contour(a, sinh, contour=Contour(((5 + 0j, 1.0),), 64))
     out = gfun_contour(a, sinh, contour=Contour(((1 + 0j, 0.5),), 64))
     assert abs(out.data[0, 0, 0] - np.sinh(1.0)) <= 1e-12
+
+
+def test_standard_fn_contour_explicit_contour_must_enclose():
+    a = Tensor3(np.ones((1, 1, 1)))
+    exp = named_scalar_fn("exp")
+    with pytest.raises(InvalidContour):
+        standard_fn_contour(a, exp, contour=Contour(((5 + 0j, 1.0),), 64))
+    # an eigenvalue on the circle is reported as such, before the enclosure test
+    with pytest.raises(EigenvalueOnContour):
+        standard_fn_contour(a, exp, contour=Contour(((2 + 0j, 1.0),), 64))
+    out = standard_fn_contour(a, exp, contour=Contour(((1 + 0j, 0.5),), 64))
+    assert abs(out.data[0, 0, 0] - np.e) <= 1e-12
 
 
 def _per_node_sum(res, contour, coef):

@@ -5,6 +5,7 @@ from tprod import (
     ConeSpec,
     StructClass,
     Tensor3,
+    bcirc,
     bcirc_commutation_check,
     cone_invariance_check,
     cone_membership,
@@ -110,6 +111,77 @@ def test_random_member_block_circulant():
     member = random_member(cls, (4, 4, 2), seed=3)
     ok, res = is_member(member, cls)
     assert ok, res
+
+
+def _entrywise_block_circulant_projection(data, q):
+    """Every entry replaced by the mean of its orbit, summed one entry at a time.
+
+    An orbit is one slice k, one block diagonal (i // q - j // q) mod (n / q)
+    and one in-block diagonal (i - j) mod q; q = 1 gives the (i - j) mod n
+    diagonals of a circulant.
+    """
+    p, n, _ = data.shape
+
+    def label(k, i, j):
+        return k, (i // q - j // q) % (n // q), (i - j) % q
+
+    cells = [(k, i, j) for k in range(p) for i in range(n) for j in range(n)]
+    sums, counts = {}, {}
+    for c in cells:
+        sums[label(*c)] = sums.get(label(*c), 0) + data[c]
+        counts[label(*c)] = counts.get(label(*c), 0) + 1
+    out = np.empty_like(data)
+    for c in cells:
+        out[c] = sums[label(*c)] / counts[label(*c)]
+    return out
+
+
+@pytest.mark.parametrize("name, q", [
+    ("f_circulant", None), ("f_block_circulant", 1), ("f_block_circulant", 2),
+    ("f_block_circulant", 3),
+])
+def test_circulant_residual_of_non_member_matches_entrywise_projection(name, q):
+    rng = np.random.default_rng(21)
+    data = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    proj = _entrywise_block_circulant_projection(data, q or 1)
+    want = np.linalg.norm(data - proj) / np.linalg.norm(data)
+    got = membership_residual(Tensor3(data), StructClass(name, q=q))
+    assert want > 0.5
+    assert abs(got - want) <= 1e-12
+
+
+def test_f_circulant_is_block_circulant_with_unit_blocks(rng):
+    t = rand3(rng, 5, 5, 4, cplx=True)
+    circ, unit = StructClass("f_circulant"), StructClass("f_block_circulant", q=1)
+    assert membership_residual(t, circ) == membership_residual(t, unit)
+    a, b = random_member(circ, (5, 5, 4), seed=8), random_member(unit, (5, 5, 4), seed=8)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("p", [1, 2, 16])
+def test_doubly_f_stochastic_member_has_unit_bcirc_sums(p):
+    mat = bcirc(random_member("doubly_f_stochastic", (5, 5, p), seed=p))
+    assert np.all(mat.imag == 0.0) and mat.real.min() > 0.0
+    assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(mat.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "f_block_circulant(-2)", "f_block_circulant(x)", "f_block_circulant(0)",
+    "f_block_circulant(2,3)", "pseudo_symmetric(1,y)",
+])
+def test_bad_class_parameters_are_unsupported(text):
+    with pytest.raises(UnsupportedClass):
+        StructClass.parse(text)
+
+
+@pytest.mark.parametrize("name, q", [
+    ("f_block_circulant", 0), ("f_block_circulant", -1), ("f_block_circulant", 1.5),
+    ("f_circulant", 2),
+])
+def test_struct_class_rejects_bad_block_size(name, q):
+    with pytest.raises(UnsupportedClass):
+        StructClass(name, q=q)
 
 
 def test_unsupported_class():
