@@ -16,14 +16,7 @@ import numpy as np
 from . import io as tio
 from .algebra import tprod
 from .core import Tensor3, bcirc, conj_transpose, fnorm, fold
-from .errors import (
-    FileFormatError,
-    FnDomainError,
-    HypothesisViolation,
-    InvalidContour,
-    TprodError,
-    UnsupportedClass,
-)
+from .errors import FnDomainError, TprodError
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
 from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
 from .spectral import tcsvd
@@ -31,7 +24,6 @@ from .structure import StructClass, is_member, preservation_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
@@ -75,7 +67,10 @@ def cmd_decompose(args):
 
 def _resolve_fn(args):
     if args.poly is not None:
-        coeffs = [float(v) for v in args.poly.split(",") if v.strip()]
+        try:
+            coeffs = [float(v) for v in args.poly.split(",") if v.strip()]
+        except ValueError:
+            raise FnDomainError(f"polynomial coefficients must be numbers: {args.poly!r}") from None
         return polynomial(coeffs)
     return named_scalar_fn(args.fn)
 
@@ -277,15 +272,12 @@ def main(argv=None):
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.fn_(args)
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (UnsupportedClass, FnDomainError, HypothesisViolation, InvalidContour) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except Exception as exc:
         # the last guard: one line, no traceback, and never the exit code of a failed check
         msg = " ".join(str(exc).split())

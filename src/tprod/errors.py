@@ -2,11 +2,20 @@
 
 
 class TprodError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` is the status the ``tprod`` CLI exits with: 2 for a usage
+    error, 3 for a numerical failure (the default), 4 for an I/O or parse
+    failure.
+    """
+
+    exit_code = 3
 
 
 class DimMismatch(TprodError):
     """Operand dimensions do not conform."""
+
+    exit_code = 2
 
 
 class NotBlockCirculant(TprodError):
@@ -36,6 +45,8 @@ class ZeroSingularValue(TprodError):
 
 class FnDomainError(TprodError):
     """Scalar function undefined or non-finite at a required point."""
+
+    exit_code = 2
 
 
 class DefectiveFace(TprodError):
@@ -67,7 +78,10 @@ class EigenvalueOnContour(TprodError):
 
 
 class InvalidContour(TprodError, ValueError):
-    """Contour has too few nodes, a non-positive radius or overlapping circles."""
+    """Contour has too few nodes, a non-positive radius or overlapping circles,
+    leaves a value unenclosed, or has more than the one circle an oracle takes."""
+
+    exit_code = 2
 
 
 class NonFinite(TprodError):
@@ -77,13 +91,19 @@ class NonFinite(TprodError):
 class UnsupportedClass(TprodError):
     """Unknown structured-tensor class name."""
 
+    exit_code = 2
+
 
 class HypothesisViolation(TprodError):
     """Scalar function fails the hypothesis required by a preservation law."""
 
+    exit_code = 2
+
 
 class BadPermutation(TprodError):
     """Sequence is not a permutation of 0..n-1."""
+
+    exit_code = 2
 
 
 class ConsistencyError(TprodError):
@@ -92,3 +112,5 @@ class ConsistencyError(TprodError):
 
 class FileFormatError(TprodError):
     """Tensor file is malformed or truncated."""
+
+    exit_code = 4

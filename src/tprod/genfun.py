@@ -250,7 +250,11 @@ def named_scalar_fn(name) -> ScalarFn:
         return name
     key = str(name)
     if key.startswith("power(") and key.endswith(")"):
-        return power_fn(float(key[6:-1]))
+        try:
+            exponent = float(key[6:-1])
+        except ValueError:
+            raise FnDomainError(f"power exponent must be a number, got {name!r}") from None
+        return power_fn(exponent)
     try:
         return NAMED_FUNCTIONS[key]
     except KeyError:

@@ -283,15 +283,19 @@ def isometry(c: TCsvd) -> Tensor3:
 
 
 def partial_isometries(c: TCsvd) -> PartialIsometrySet:
+    """Every rank-one component at once.
+
+    The inverse DFT of a stack whose only nonzero face is X on face i has
+    slice k equal to (1/p) w^{ik} X with w = e^{2 pi i/p}, so component (i, j)
+    is that phase times the outer product u_ij vh_ij, for all i, j, k in one
+    broadcast product.
+    """
     uf, vhf = c.full_frames
-    comps = []
-    for i in range(c.p):
-        row = []
-        for j in range(c.r):
-            faces = np.zeros((c.p, c.m, c.n), dtype=np.complex128)
-            faces[i] = np.outer(uf[i, :, j], vhf[i, j, :])
-            row.append(from_faces(faces, c.p, half=False))
-        comps.append(row)
+    idx = np.arange(c.p)
+    phase = np.exp(2j * np.pi * (np.outer(idx, idx) % c.p) / c.p) / c.p
+    outer = np.einsum("imj,ijn->ijmn", uf, vhf)
+    slices = phase[:, None, :, None, None] * outer[:, :, None]
+    comps = [[Tensor3(slices[i, j]) for j in range(c.r)] for i in range(c.p)]
     return PartialIsometrySet(E=isometry(c), components=comps, values=c.sigma.copy())
 
 

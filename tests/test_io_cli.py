@@ -399,6 +399,31 @@ def test_cli_zero_dimension_is_io_error(tmp_path, capsys):
     _assert_io_exit(["info", str(path)], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "sq", "--class", "f_block_circulant(3)"],
+    ["check", "sq", "--class", "pseudo_symmetric(-1,5)"],
+    ["check", "rect", "--class", "hermitian"],
+    ["solve", "--A", "sq", "--B", "small", "--D", "sq", "--out", "out"],
+    ["lstsq", "--A", "sq", "--B", "small", "--out", "out"],
+    ["apply", "rect", "--fn", "exp", "--standard", "--out", "out"],
+    ["apply", "sq", "--poly", "1,a", "--out", "out"],
+    ["apply", "sq", "--fn", "power(x)", "--out", "out"],
+], ids=["check-block-size", "check-signature", "check-non-square", "solve", "lstsq",
+        "apply-standard-non-square", "apply-poly", "apply-power"])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, rng, argv):
+    # operands that do not fit each other, the class or the function are the user's
+    shapes = {"sq": (4, 4, 3), "rect": (4, 2, 3), "small": (3, 3, 3)}
+    for name, shape in shapes.items():
+        write_tensor(tmp_path / f"{name}.tt3a", rand3(rng, *shape))
+    files = {name: str(tmp_path / f"{name}.tt3a") for name in [*shapes, "out"]}
+    rc = main([files.get(arg, arg) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ValueError" not in err and "Traceback" not in err
+    assert not (tmp_path / "out.tt3a").exists()
+
+
 def test_cli_usage_error(capsys):
     rc = main(["apply", "x.tt3a"])  # missing --fn/--poly and --out
     assert rc == 2

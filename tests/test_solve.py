@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tprod import (
     Contour,
@@ -36,6 +37,7 @@ from tprod import (
     unfold,
 )
 from tprod.errors import (
+    DimMismatch,
     EigenvalueOnContour,
     EmptyValues,
     InvalidContour,
@@ -383,3 +385,85 @@ def test_standard_fn_contour_action(rng):
     lhs = standard_fn_contour(a, exp, nodes=256, b=vec)
     rhs = tprod(standard_tfn(a, exp), vec)
     assert fnorm(lhs - rhs) <= 1e-6 * max(fnorm(rhs), 1.0)
+
+
+def _scaled(rng, n, p, cplx):
+    """Gaussian n x n x p tensor scaled so a typical face singular value is about 1."""
+    a = rand3(rng, n, n, p, cplx)
+    return (np.sqrt(n) / fnorm(a)) * a
+
+
+def _default_circle(a, nodes):
+    """The circle standard_fn_contour picks by default, built independently."""
+    eigs = np.linalg.eigvals(np.fft.fft(a.data, axis=0)).ravel()
+    center = complex(eigs.mean())
+    spread = float(np.abs(eigs - center).max())
+    return Contour(((center, 1.3 * spread + 0.1 * max(spread, 1.0)),), nodes)
+
+
+def _per_node_standard(a, f, contour, b=None):
+    """The trapezoid rule as one shifted solve per node on the full face stack."""
+    faces = np.fft.fft(a.data, axis=0)
+    eye = np.eye(a.n)
+    rhs = eye if b is None else np.fft.fft(b.data, axis=0)
+    (center, rad), = contour.circles
+    k = contour.nodes_per_circle
+    out = 0.0
+    for z in center + rad * np.exp(2j * np.pi * np.arange(k) / k):
+        w = (z - center) / k
+        out = out + complex(f(np.array([z]))[0] * w) * np.linalg.solve(z * eye - faces, rhs)
+    return Tensor3(np.fft.ifft(out, axis=0))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_standard_fn_contour_matches_per_node_solves(rng, p, n, cplx):
+    a = _scaled(rng, n, p, cplx)
+    b = rand3(rng, n, 2, p, cplx)
+    exp = named_scalar_fn("exp")
+    for nodes in (16, 100, 256):
+        contour = _default_circle(a, nodes)
+        want = _per_node_standard(a, exp, contour)
+        got = standard_fn_contour(a, exp, nodes=nodes)
+        assert fnorm(got - want) <= 1e-12 * fnorm(want)
+        want = _per_node_standard(a, exp, contour, b=b)
+        got = standard_fn_contour(a, exp, nodes=nodes, b=b)
+        assert fnorm(got - want) <= 1e-12 * fnorm(want)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_standard_fn_contour_wide_spread_no_less_accurate(rng, cplx):
+    # unscaled faces: exp on the circle dwarfs exp(A), and both routes lose
+    # digits to the same cancelling sum, so their errors agree to a few per cent
+    a = rand3(rng, 8, 8, 64, cplx)
+    exp = named_scalar_fn("exp")
+    ref = standard_tfn(a, exp)
+    loop = fnorm(_per_node_standard(a, exp, _default_circle(a, 256)) - ref)
+    assert fnorm(standard_fn_contour(a, exp, nodes=256) - ref) <= 1.1 * loop
+
+
+def test_standard_fn_contour_non_normal_face():
+    # a Jordan chain with superdiagonal 100: B^3 reaches 1e9 before B^4 = 0
+    jordan = 0.5 * np.eye(4) + np.diag([100.0] * 3, 1)
+    out = standard_fn_contour(Tensor3(jordan[None]), named_scalar_fn("exp"))
+    want = scipy.linalg.expm(jordan)
+    assert np.linalg.norm(out.data[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_standard_fn_contour_takes_one_circle():
+    a = Tensor3(np.ones((1, 1, 1)))
+    exp = named_scalar_fn("exp")
+    with pytest.raises(InvalidContour):
+        standard_fn_contour(a, exp, contour=Contour(((1 + 0j, 0.5), (5 + 0j, 1.0)), 64))
+    # a value on either circle is still reported as such first
+    with pytest.raises(EigenvalueOnContour):
+        standard_fn_contour(a, exp, contour=Contour(((-5 + 0j, 1.0), (2 + 0j, 1.0)), 64))
+
+
+def test_standard_fn_contour_action_shape_checked(rng):
+    a = rand3(rng, 3, 3, 2)
+    exp = named_scalar_fn("exp")
+    for b in (rand3(rng, 2, 1, 2), rand3(rng, 3, 1, 3)):
+        with pytest.raises(DimMismatch):
+            standard_fn_contour(a, exp, b=b)

@@ -212,6 +212,21 @@ def test_partial_isometries_orthogonality(rng):
             assert fnorm(tprod(conj_transpose(e1), e2)) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 1), (3, 2, 4), (2, 3, 5), (4, 4, 6)])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_partial_isometries_match_per_component_transform(rng, shape, cplx):
+    a = rand_low_rank(rng, *shape, k=2, cplx=cplx)
+    c = tcsvd(a)
+    ps = partial_isometries(c)
+    uf, vhf = c.full_frames
+    for i in range(c.p):
+        for j in range(c.r):
+            faces = np.zeros((c.p, c.m, c.n), dtype=np.complex128)
+            faces[i] = np.outer(uf[i, :, j], vhf[i, j, :])
+            want = from_faces(faces, c.p, half=False)
+            assert fnorm(ps.components[i][j] - want) <= 1e-14 * fnorm(want)
+
+
 def test_isometry_properties(rng):
     a = rand_low_rank(rng, 4, 3, 3, k=2)
     e = isometry(tcsvd(a))
