@@ -2,7 +2,7 @@
 
 tprod routes through the FFT face path (O(m n s p log p + m n s p));
 the dense block-circulant path is O(m n s p^2) and is kept behind the
-``method`` flag as a test oracle and benchmark baseline.
+``method`` flag as the test oracle.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Command-line surface: tensor file I/O, decompose/apply/solve/check/bench.
+"""Command-line surface: tensor file I/O, decompose/apply/solve/check.
 
 Exit codes: 0 success, 1 check failed, 2 usage error, 3 numerical failure
 (or any other unexpected error), 4 I/O or parse failure.
@@ -7,15 +7,11 @@ Exit codes: 0 success, 1 check failed, 2 usage error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-import time
-
-import numpy as np
 
 from . import io as tio
 from .algebra import tprod
-from .core import Tensor3, bcirc, conj_transpose, fnorm, fold
+from .core import conj_transpose, fnorm
 from .errors import FnDomainError, TprodError
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
 from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
@@ -143,50 +139,11 @@ def cmd_check(args):
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _median_time(fn, reps):
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def cmd_bench(args):
-    rng = np.random.default_rng(args.seed)
-    m, n, p = args.m, args.n, args.p
-    a = Tensor3(rng.standard_normal((p, m, n)))
-    b = Tensor3(rng.standard_normal((p, n, m)))
-    ops = [s.strip() for s in args.ops.split(",") if s.strip()]
-    rows = []
-    if "tprod" in ops:
-        fft_t = _median_time(lambda: tprod(a, b, method="fft"), args.reps)
-        dense_t = _median_time(lambda: tprod(a, b, method="dense"), args.reps)
-        rows.append(("tprod", fft_t, dense_t))
-    if "gfun" in ops:
-        f = named_scalar_fn("cube")
-
-        def dense_gfun():
-            mat = bcirc(a)
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
-            r = int((s > s[0] * 1e-12).sum())
-            return fold(((u[:, :r] * s[:r] ** 3) @ vh[:r])[:, :n], m, n, p)
-
-        fft_t = _median_time(lambda: gfun(a, f), max(1, args.reps // 2))
-        dense_t = _median_time(dense_gfun, max(1, args.reps // 2))
-        rows.append(("gfun", fft_t, dense_t))
-
-    print(f"{'op':8s} {'fft_s':>12s} {'dense_s':>12s} {'speedup':>9s}")
-    for name, fft_t, dense_t in rows:
-        print(f"{name:8s} {fft_t:12.6f} {dense_t:12.6f} {dense_t / fft_t:9.2f}")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["op", "m", "n", "p", "reps", "fft_seconds", "dense_seconds", "speedup"])
-            for name, fft_t, dense_t in rows:
-                w.writerow([name, m, n, p, args.reps, f"{fft_t:.9f}", f"{dense_t:.9f}",
-                            f"{dense_t / fft_t:.4f}"])
-    return EXIT_OK
+def count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
 
 
 def build_parser():
@@ -245,21 +202,11 @@ def build_parser():
     p_chk.add_argument("path")
     p_chk.add_argument("--class", dest="cls", required=True)
     p_chk.add_argument("--fn", default=None)
-    p_chk.add_argument("--trials", type=int, default=0)
+    p_chk.add_argument("--trials", type=count, default=0)
     p_chk.add_argument("--tol", type=float, default=1e-8)
     p_chk.add_argument("--preserve-tol", type=float, default=1e-8)
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.set_defaults(fn_=cmd_check)
-
-    p_bench = sub.add_parser("bench", help="FFT path vs dense block-circulant path")
-    p_bench.add_argument("--m", type=int, default=8)
-    p_bench.add_argument("--n", type=int, default=8)
-    p_bench.add_argument("--p", type=int, default=256)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--ops", default="tprod,gfun")
-    p_bench.add_argument("--csv", default=None)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(fn_=cmd_bench)
 
     return ap
 

@@ -27,10 +27,35 @@ from .errors import (
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
-from .spectral import apply_facewise, isometry, tcsvd
+from .spectral import from_faces, isometry, tcsvd, to_faces
 
 _SERIES_CAP = 500
 _SERIES_RTOL = 1e-12
+# eigenvector matrices of a non-Hermitian face above this condition number
+# send the face to its power series
+_COND_LIMIT = 1e8
+
+
+def _power_series(coeff, x, one, mul, norm, cap, rtol):
+    """Sum coeff(k) x^k for k = 0..cap: ``(sum, tail)``.
+
+    Stops after two consecutive terms whose size relative to the partial
+    sum is at most ``rtol``, so alternating series with zero coefficients in
+    between are not truncated early. ``tail`` is the larger relative size of
+    the last two terms, so with ``cap >= 2`` the sum settled exactly when
+    ``tail <= rtol``. ``one`` is x^0 and ``mul(pw, x)`` the next power.
+    """
+    acc, pw = complex(coeff(0)) * one, one
+    ratio, tail = 0.0, np.inf
+    for k in range(1, cap + 1):
+        pw = mul(pw, x)
+        term = complex(coeff(k)) * pw
+        acc = acc + term
+        prev, ratio = ratio, norm(term) / max(norm(acc), 1e-300)
+        tail = max(ratio, prev)
+        if k > 1 and prev <= rtol and ratio <= rtol:
+            break
+    return acc, tail
 
 
 @dataclass(frozen=True)
@@ -46,26 +71,15 @@ class Series:
         return cls(coeff=lambda k: complex(arr[k]) if k < arr.size else 0.0, radius=radius)
 
     def eval(self, z):
-        """Partial sums of the series at z (array ok); guards the radius.
-
-        Stops after two consecutive negligible terms, so alternating series
-        with zero coefficients in between are not truncated early.
-        """
+        """Partial sums of the series at z (array ok); guards the radius."""
         z = np.asarray(z, dtype=np.complex128)
         if np.any(np.abs(z) >= self.radius):
             raise RadiusViolation(f"|z| up to {np.abs(z).max():.3g} >= radius {self.radius:.3g}")
-        acc = np.full(z.shape, complex(self.coeff(0)))
-        pw = np.ones_like(z)
-        small = 0
-        for k in range(1, _SERIES_CAP + 1):
-            pw = pw * z
-            term = complex(self.coeff(k)) * pw
-            acc = acc + term
-            tn, an = np.abs(term).max(), max(np.abs(acc).max(), 1e-300)
-            small = small + 1 if tn <= _SERIES_RTOL * an else 0
-            if small >= 2:
-                return acc
-        raise SeriesDivergence(f"series did not settle within {_SERIES_CAP} terms")
+        acc, tail = _power_series(self.coeff, z, np.ones_like(z), np.multiply,
+                                  lambda v: np.abs(v).max(), _SERIES_CAP, _SERIES_RTOL)
+        if not tail <= _SERIES_RTOL:
+            raise SeriesDivergence(f"series did not settle within {_SERIES_CAP} terms")
+        return acc
 
 
 @dataclass(frozen=True)
@@ -261,8 +275,8 @@ def named_scalar_fn(name) -> ScalarFn:
         raise FnDomainError(f"unknown scalar function {name!r}") from None
 
 
-def _window_values(f, c):
-    """f on the windowed singular values; zeros gated on f(0) = 0."""
+def _rebuild_values(c, f):
+    """Ur * f(Sr) * Vr^H from a compact T-SVD; zero singular values gated on f(0) = 0."""
     zero = c.sigma <= 0.0
     if c.r > 0 and zero.any() and f.value_at_zero != 0:
         raise ZeroSingularValueRequiresFZero(
@@ -274,16 +288,12 @@ def _window_values(f, c):
         if not np.all(np.isfinite(out)):
             raise FnDomainError(f"{f.name or 'f'} is not finite on some singular value")
         vals[~zero] = out
-    return vals
+    return c.rebuild(vals if vals.imag.any() else vals.real)
 
 
 def gfun(a: Tensor3, f: ScalarFn, tol_rank=None) -> Tensor3:
     """Generalized tensor function Ur * f(Sr) * Vr^H via the compact T-SVD."""
-    c = tcsvd(a, tol_rank)
-    if c.r == 0:
-        return Tensor3.zeros(a.m, a.n, a.p)
-    vals = _window_values(f, c)
-    return c.rebuild(vals if vals.imag.any() else vals.real)
+    return _rebuild_values(tcsvd(a, tol_rank), f)
 
 
 def _matrix_series(d, f, face_index):
@@ -294,19 +304,11 @@ def _matrix_series(d, f, face_index):
         raise SeriesDivergence(
             f"face {face_index}: spectral radius {rho:.3g} >= series radius {f.series.radius:.3g}"
         )
-    n = d.shape[0]
-    acc = complex(f.series.coeff(0)) * np.eye(n, dtype=np.complex128)
-    pw = np.eye(n, dtype=np.complex128)
-    small = 0
-    for k in range(1, _SERIES_CAP + 1):
-        pw = pw @ d
-        term = complex(f.series.coeff(k)) * pw
-        acc = acc + term
-        negligible = np.linalg.norm(term) <= _SERIES_RTOL * max(np.linalg.norm(acc), 1e-300)
-        small = small + 1 if negligible else 0
-        if small >= 2:
-            return acc
-    raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
+    acc, tail = _power_series(f.series.coeff, d, np.eye(d.shape[0], dtype=np.complex128),
+                              np.matmul, np.linalg.norm, _SERIES_CAP, _SERIES_RTOL)
+    if not tail <= _SERIES_RTOL:
+        raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
+    return acc
 
 
 def _values_on(f, w):
@@ -314,11 +316,11 @@ def _values_on(f, w):
     return np.broadcast_to(np.asarray(f(w), dtype=np.complex128), w.shape)
 
 
-def _matrix_functions(faces, f, cond_limit, force_series):
+def _matrix_functions(faces, f, force_series):
     """f of every face of an (h, n, n) stack, each by its own eigendecomposition.
 
     Hermitian faces go through one batched ``eigh``, the others through one
-    batched ``eig`` whose eigenvector matrices must pass the ``cond_limit``
+    batched ``eig`` whose eigenvector matrices must pass the ``_COND_LIMIT``
     guard; faces that fail it take the power series one at a time. Errors
     come from the lowest-indexed failing face, as a face-by-face loop would
     raise them.
@@ -341,7 +343,7 @@ def _matrix_functions(faces, f, cond_limit, force_series):
         w, v = np.linalg.eig(faces[idx])
         sv = np.linalg.svd(v, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bad = (sv[:, -1] <= 0) | (sv[:, 0] / sv[:, -1] > cond_limit)
+            bad = (sv[:, -1] <= 0) | (sv[:, 0] / sv[:, -1] > _COND_LIMIT)
         flagged = idx[bad]
         if not bad.all():
             v = v[~bad]
@@ -370,7 +372,7 @@ def _looks_real_analytic(f):
     return bool(np.all(np.abs(probe.imag) <= 1e-14 * (1.0 + np.abs(probe))))
 
 
-def standard_tfn(a: Tensor3, f: ScalarFn, cond_limit=1e8, force_series=False) -> Tensor3:
+def standard_tfn(a: Tensor3, f: ScalarFn, force_series=False) -> Tensor3:
     """Standard T-function: the matrix function of every DFT face.
 
     Equals bcirc_inv(f(bcirc(a))). Primary path is one batched
@@ -380,11 +382,8 @@ def standard_tfn(a: Tensor3, f: ScalarFn, cond_limit=1e8, force_series=False) ->
     """
     if a.m != a.n:
         raise DimMismatch(f"standard T-function needs an F-square tensor, got {a.shape}")
-    return apply_facewise(
-        a,
-        lambda faces: _matrix_functions(faces, f, cond_limit, force_series),
-        conj_equivariant=_looks_real_analytic(f),
-    )
+    half, (faces,) = to_faces(a, allow_half=_looks_real_analytic(f))
+    return from_faces(_matrix_functions(faces, f, force_series), a.p, half)
 
 
 def gpower(a: Tensor3, k: int, tol_rank=None) -> Tensor3:
@@ -439,28 +438,12 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
         )
 
     shifted = c.sigma.astype(np.complex128) - z0
-    acc = np.full(c.sigma.shape, _taylor_coeff(f, z0, 0), dtype=np.complex128)
-    pw = np.ones_like(shifted)
-    prev_ratio = 0.0
-    ratio = np.inf
-    small = 0
-    for k in range(1, max_terms + 1):
-        pw = pw * shifted
-        term = _taylor_coeff(f, z0, k) * pw
-        acc = acc + term
-        tn = np.linalg.norm(term)
-        an = max(np.linalg.norm(acc), 1e-300)
-        prev_ratio, ratio = ratio if k > 1 else 0.0, tn / an
-        small = small + 1 if ratio <= tol else 0
-        if small >= 2:
-            break
-    else:
-        # a vanishing coefficient can make the very last term tiny while the
-        # series still diverges, so judge the last two terms together
-        if max(ratio, prev_ratio) > 100 * tol:
-            raise NoConvergence(
-                f"hit {max_terms} terms with relative term size {max(ratio, prev_ratio):.3g}"
-            )
+    acc, tail = _power_series(lambda k: _taylor_coeff(f, z0, k), shifted,
+                              np.ones_like(shifted), np.multiply, np.linalg.norm, max_terms, tol)
+    # a vanishing coefficient can make the very last term tiny while the
+    # series still diverges, so judge the last two terms together
+    if tail > 100 * tol:
+        raise NoConvergence(f"hit {max_terms} terms with relative term size {tail:.3g}")
     real = np.all(np.abs(acc.imag) <= 1e-13 * (1 + np.abs(acc)))
     return c.rebuild(acc.real if real else acc)
 
@@ -468,13 +451,12 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
 def named_gfun(a: Tensor3, name, tol_rank=None) -> Tensor3:
     """Generalized function by name, enforcing the positivity preconditions."""
     f = named_scalar_fn(name)
-    if f.name in POSITIVE_ONLY:
-        c = tcsvd(a, tol_rank)
-        if c.r > 0 and np.any(c.sigma <= 0.0):
-            raise ZeroSingularValueRequiresFZero(
-                f"{f.name} needs strictly positive singular values in the rank window"
-            )
-    return gfun(a, f, tol_rank)
+    c = tcsvd(a, tol_rank)
+    if f.name in POSITIVE_ONLY and c.r > 0 and np.any(c.sigma <= 0.0):
+        raise ZeroSingularValueRequiresFZero(
+            f"{f.name} needs strictly positive singular values in the rank window"
+        )
+    return _rebuild_values(c, f)
 
 
 def even_odd_split(f: ScalarFn):

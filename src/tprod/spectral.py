@@ -298,14 +298,3 @@ def partial_isometries(c: TCsvd) -> PartialIsometrySet:
     comps = [[Tensor3(slices[i, j]) for j in range(c.r)] for i in range(c.p)]
     return PartialIsometrySet(E=isometry(c), components=comps, values=c.sigma.copy())
 
-
-def apply_facewise(a: Tensor3, fn, conj_equivariant=True) -> Tensor3:
-    """Transform, apply ``fn`` to the whole face stack, transform back.
-
-    ``fn`` maps an (h, m, n) stack to an (h, ...) stack; face index i of the
-    stack is DFT face i. When the input is real and ``fn`` commutes with
-    complex conjugation, only faces 0..p//2 are passed in, which makes the
-    result exactly real.
-    """
-    half, (faces,) = to_faces(a, allow_half=conj_equivariant)
-    return from_faces(np.asarray(fn(faces), dtype=np.complex128), a.p, half)

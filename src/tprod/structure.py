@@ -98,10 +98,7 @@ class StructClass:
                 nums = [int(v) for v in args.split(",") if v.strip()]
             except ValueError:
                 raise UnsupportedClass(f"class parameters must be integers, got {text!r}") from None
-            if base in ("pseudo_symmetric", "pseudo_skew_symmetric", "pseudo_hermitian",
-                        "pseudo_skew_hermitian", "pseudo_orthogonal", "pseudo_unitary",
-                        "complex_pseudo_symmetric", "complex_pseudo_skew_symmetric",
-                        "complex_pseudo_orthogonal"):
+            if base in FORM_CLASSES and FORM_CLASSES[base][1] == "S":
                 if len(nums) != 2:
                     raise UnsupportedClass(f"{base} takes two integers, got {text!r}")
                 return cls(base, a=nums[0], b=nums[1])
@@ -164,6 +161,14 @@ ENTRYWISE_CLASSES = (
 TABLE1_CLASSES = tuple(k for k, v in FORM_CLASSES.items() if v[3] in ("jordan", "lie"))
 TABLE2_CLASSES = tuple(k for k, v in FORM_CLASSES.items() if v[3] == "group")
 
+_F_SQUARE = frozenset(FORM_CLASSES) | {"normal", "f_circulant", "f_block_circulant",
+                                       "doubly_f_stochastic"}
+
+
+def _require_f_square(name, m, n):
+    if name in _F_SQUARE and m != n:
+        raise DimMismatch(f"{name} tensors are F-square, got {m} x {n} slices")
+
 
 def _form_for(cls: StructClass, n, p) -> FormKind:
     _, tkey, kind, _ = FORM_CLASSES[cls.name]
@@ -191,9 +196,7 @@ def _project_block_circulant(data, q):
 
     F-circulant is the case q = 1.
     """
-    p, m, n = data.shape
-    if m != n:
-        raise DimMismatch(f"F-(block-)circulant tensors are F-square, got {m}x{n} slices")
+    p, _, n = data.shape
     if n % q:
         raise DimMismatch(f"block size {q} does not divide n={n}")
     nb = n // q
@@ -207,10 +210,9 @@ def _project_block_circulant(data, q):
 def membership_residual(t: Tensor3, cls: StructClass, tol_rank=None) -> float:
     """Normalized defect of the class's defining equation."""
     name = cls.name
+    _require_f_square(name, t.m, t.n)
     scale = max(fnorm(t), _TINY)
     if name in FORM_CLASSES:
-        if t.m != t.n:
-            raise DimMismatch(f"{name} needs an F-square tensor, got {t.shape}")
         form = _form_for(cls, t.n, t.p)
         star = adjoint(t, form)
         algebra = FORM_CLASSES[name][3]
@@ -227,8 +229,6 @@ def membership_residual(t: Tensor3, cls: StructClass, tol_rank=None) -> float:
         target = t.conj() if name == "centrohermitian" else -t.conj()
         return fnorm(wrapped - target) / scale
     if name == "normal":
-        if t.m != t.n:
-            raise DimMismatch("normal tensors are F-square")
         th = conj_transpose(t)
         gram = tprod(t, th)
         return fnorm(gram - tprod(th, t)) / max(fnorm(gram), _TINY)
@@ -236,8 +236,6 @@ def membership_residual(t: Tensor3, cls: StructClass, tol_rank=None) -> float:
         proj = _project_block_circulant(t.data, cls.q or 1)
         return fnorm(t - Tensor3(proj)) / scale
     if name == "doubly_f_stochastic":
-        if t.m != t.n:
-            raise DimMismatch("doubly F-stochastic tensors are F-square")
         ones = Tensor3(np.ones((t.p, t.n, 1)))
         en = fnorm(ones)
         d1 = fnorm(tprod(t, ones) - ones)
@@ -310,10 +308,9 @@ def random_member(cls, shape, seed=0) -> Tensor3:
     m, n, p = shape
     rng = np.random.default_rng(seed)
     name = cls.name
+    _require_f_square(name, m, n)
 
     if name in FORM_CLASSES:
-        if m != n:
-            raise DimMismatch(f"{name} members are F-square")
         field_, _, _, algebra = FORM_CLASSES[name]
         cplx = field_ == "C"
         form = _form_for(cls, n, p)
@@ -335,8 +332,6 @@ def random_member(cls, shape, seed=0) -> Tensor3:
         wrapped = tprod(rm, tprod(b.conj(), rn))
         out = 0.5 * (b + wrapped) if name == "centrohermitian" else 0.5 * (b - wrapped)
     elif name == "normal":
-        if m != n:
-            raise DimMismatch("normal members are F-square")
         z = rng.standard_normal((p, n, n)) + 1j * rng.standard_normal((p, n, n))
         q, _ = np.linalg.qr(z)
         d = rng.standard_normal((p, 1, n)) + 1j * rng.standard_normal((p, 1, n))
@@ -344,8 +339,6 @@ def random_member(cls, shape, seed=0) -> Tensor3:
     elif name in ("f_circulant", "f_block_circulant"):
         out = Tensor3(_project_block_circulant(rng.standard_normal((p, m, n)), cls.q or 1))
     elif name == "doubly_f_stochastic":
-        if m != n:
-            raise DimMismatch("doubly F-stochastic members are F-square")
         out = _sinkhorn_block_circulant(rng, n, p)
     elif name == "nonnegative":
         out = Tensor3(np.abs(rng.standard_normal((p, m, n))))

@@ -33,6 +33,7 @@ from tprod.errors import (
     FnDomainError,
     NoConvergence,
     RadiusViolation,
+    SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
 
@@ -312,6 +313,30 @@ def test_taylor_no_convergence(rng):
         gfun_taylor(a, SIN, z0=0.0, max_terms=12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_taylor_accepts_sum_at_term_cap(seed):
+    # at spectral norm 1.5 the last two exp terms are within 100 * tol by
+    # term 16, a few terms before they settle below tol: the cap accepts that sum
+    a = rand3(np.random.default_rng(seed), 2, 2, 2)
+    a = (1.5 / specnorm(a)) * a
+    with pytest.raises(NoConvergence):
+        gfun_taylor(a, EXP, max_terms=15)
+    out = gfun_taylor(a, EXP, max_terms=16)
+    assert fnorm(out - gfun(a, EXP)) <= 1e-10 * fnorm(out)
+
+
+def test_series_eval_unsettled_within_cap():
+    # 0.999 is inside the radius, but 0.999**500 is still far from negligible
+    with pytest.raises(SeriesDivergence, match="series did not settle within 500 terms"):
+        named_scalar_fn("inverse_shift").series.eval(0.999)
+
+
+def test_standard_series_face_outside_radius():
+    a = Tensor3(np.array([[[1.5, 0.0], [0.0, 0.2]]]))
+    with pytest.raises(SeriesDivergence, match="face 0: spectral radius 1.5 >= series radius 1"):
+        standard_tfn(a, named_scalar_fn("ln1p"), force_series=True)
+
+
 def test_named_gfun_gates(rng):
     a = rand_face_ranks(rng, 4, 4, [2, 3])
     for name in ("exp", "cos", "cosh", "ln1p"):
@@ -319,6 +344,16 @@ def test_named_gfun_gates(rng):
             named_gfun(a, name)
     for name in ("sin", "sinh", "sign", "cube"):
         named_gfun(a, name)
+
+
+def test_named_gfun_factors_once(monkeypatch, rng):
+    from tprod import genfun
+
+    calls = []
+    factor = genfun.tcsvd
+    monkeypatch.setattr(genfun, "tcsvd", lambda *args: calls.append(args) or factor(*args))
+    named_gfun(rand3(rng, 3, 3, 4), "exp")
+    assert len(calls) == 1
 
 
 def test_named_sin_at_pi_orthogonal():

@@ -348,6 +348,15 @@ def test_cli_check_with_fn_and_trials(tmp_path, capsys):
     assert rc == 0 and "harness" in out
 
 
+def test_cli_check_negative_trials_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "ds.tt3a"
+    write_tensor(src, identity(3, 2))
+    rc = main(["check", str(src), "--class", "doubly_f_stochastic", "--fn", "cube",
+               "--trials", "-2"])
+    assert rc == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_cli_check_unknown_class(tmp_path, capsys):
     src = tmp_path / "a.tt3a"
     write_tensor(src, identity(2, 2))
@@ -427,24 +436,3 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, rng, argv):
 def test_cli_usage_error(capsys):
     rc = main(["apply", "x.tt3a"])  # missing --fn/--poly and --out
     assert rc == 2
-
-
-def test_cli_bench_csv(tmp_path, capsys):
-    csv_path = tmp_path / "bench.csv"
-    rc = main(["bench", "--m", "3", "--n", "3", "--p", "16", "--reps", "2",
-               "--ops", "tprod", "--csv", str(csv_path)])
-    out = capsys.readouterr().out
-    assert rc == 0 and "tprod" in out
-    import csv as csvmod
-
-    with open(csv_path) as fh:
-        rows = list(csvmod.reader(fh))
-    assert rows[0][0] == "op" and rows[1][0] == "tprod"
-    assert float(rows[1][5]) > 0
-
-
-def test_cli_seed_determinism(tmp_path, capsys):
-    args = ["bench", "--m", "2", "--n", "2", "--p", "4", "--reps", "1", "--ops", "tprod",
-            "--seed", "7"]
-    assert main(args) == 0
-    capsys.readouterr()
