@@ -18,7 +18,7 @@ from .spectral import default_rank_rtol, from_faces, to_faces
 
 def identity(n, p) -> Tensor3:
     """First frontal slice I_n, all other slices zero."""
-    data = np.zeros((p, n, n), dtype=np.complex128)
+    data = np.zeros((p, n, n))
     data[0] = np.eye(n)
     return Tensor3(data)
 

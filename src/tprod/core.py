@@ -1,6 +1,7 @@
 """Dense third-order tensor values and the block-circulant unfolding operators.
 
-A tensor is a stack of p frontal slices, each an m x n complex matrix.
+A tensor is a stack of p frontal slices, each an m x n matrix, stored as
+float64 when every entry is real and as complex128 otherwise.
 Storage is slice-major: the slice index varies slowest, then rows, then
 columns, so ``unfold`` is a plain reshape. All values are immutable and
 every operation here is pure.
@@ -19,18 +20,23 @@ BCIRC_STRUCTURE_RTOL = 1e-10
 
 
 class Tensor3:
-    """Dense m x n x p complex tensor.
+    """Dense m x n x p tensor, real or complex.
 
     ``data`` has shape (p, m, n): ``data[k]`` is the k-th frontal slice.
-    A real tensor is a complex tensor whose imaginary parts vanish; use
-    :meth:`is_real` for a tolerance test or :attr:`exactly_real` for the
-    bitwise one.
+    Its dtype carries realness: float64 for real input, including complex
+    input whose imaginary parts are all zero, and complex128 otherwise.
+    :attr:`exactly_real` reads the dtype; :meth:`is_real` is a tolerance
+    test on the imaginary parts.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, slices):
-        arr = np.array(slices, dtype=np.complex128, order="C")
+        arr = np.asarray(slices)
+        if np.iscomplexobj(arr) and not arr.imag.any():
+            arr = arr.real
+        arr = np.array(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64,
+                       order="C")
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.size == 0:
@@ -40,7 +46,7 @@ class Tensor3:
 
     @classmethod
     def zeros(cls, m, n, p):
-        return cls(np.zeros((p, m, n), dtype=np.complex128))
+        return cls(np.zeros((p, m, n)))
 
     @property
     def m(self):
@@ -61,7 +67,7 @@ class Tensor3:
 
     @property
     def exactly_real(self):
-        return bool(np.all(self.data.imag == 0.0))
+        return self.data.dtype == np.float64
 
     def is_real(self, tol=1e-12):
         """True when every imaginary part is <= tol * (1 + |entry|)."""
@@ -82,7 +88,8 @@ class Tensor3:
         return Tensor3(-self.data)
 
     def __mul__(self, scalar):
-        return Tensor3(self.data * complex(scalar))
+        scalar = complex(scalar)
+        return Tensor3(self.data * (scalar if scalar.imag else scalar.real))
 
     __rmul__ = __mul__
 
@@ -109,7 +116,7 @@ def unfold(a: Tensor3) -> np.ndarray:
 
 def fold(mat, m, n, p) -> Tensor3:
     """Inverse of :func:`unfold`."""
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = np.asarray(mat)
     if mat.shape != (m * p, n):
         raise DimMismatch(f"expected shape {(m * p, n)}, got {mat.shape}")
     return Tensor3(mat.reshape(p, m, n))
@@ -145,7 +152,7 @@ def bcirc_inv(mat, m, n, p, rtol=BCIRC_STRUCTURE_RTOL) -> Tensor3:
     circulant block diagonals) to relative residual ``rtol``, else
     :class:`NotBlockCirculant` is raised.
     """
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = np.asarray(mat)
     if mat.shape != (m * p, n * p):
         raise DimMismatch(f"expected shape {(m * p, n * p)}, got {mat.shape}")
     blocks = mat.reshape(p, m, p, n).swapaxes(1, 2)  # (p, p, m, n)

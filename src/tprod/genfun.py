@@ -43,18 +43,24 @@ def _power_series(coeff, x, one, mul, norm, cap, rtol):
     sum is at most ``rtol``, so alternating series with zero coefficients in
     between are not truncated early. ``tail`` is the larger relative size of
     the last two terms, so with ``cap >= 2`` the sum settled exactly when
-    ``tail <= rtol``. ``one`` is x^0 and ``mul(pw, x)`` the next power.
+    ``tail <= rtol``. ``one`` is x^0 and ``mul(pw, x)`` the next power. A
+    sum that overflows returns at once with ``tail`` infinite.
     """
     acc, pw = complex(coeff(0)) * one, one
     ratio, tail = 0.0, np.inf
-    for k in range(1, cap + 1):
-        pw = mul(pw, x)
-        term = complex(coeff(k)) * pw
-        acc = acc + term
-        prev, ratio = ratio, norm(term) / max(norm(acc), 1e-300)
-        tail = max(ratio, prev)
-        if k > 1 and prev <= rtol and ratio <= rtol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cap + 1):
+            pw = mul(pw, x)
+            term = complex(coeff(k)) * pw
+            acc = acc + term
+            size = norm(acc)
+            if not np.isfinite(size):
+                # an overflowed power or sum never settles
+                return acc, np.inf
+            prev, ratio = ratio, norm(term) / max(size, 1e-300)
+            tail = max(ratio, prev)
+            if k > 1 and prev <= rtol and ratio <= rtol:
+                break
     return acc, tail
 
 
@@ -169,13 +175,18 @@ def _inv_shift_deriv(z0, k):
     return (-1.0) ** k * math.factorial(k) / (1.0 + z0) ** (k + 1)
 
 
+def _inv_factorial(k):
+    # 1 / k! overflows the int-to-float conversion past k = 170
+    return 1.0 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(k + 1))
+
+
 def _alt(parity_num, parity_den):
     # coefficient helper for the trig series
     def c(k):
         if k % 2 != parity_num:
             return 0.0
         j = k // 2
-        return (-1.0) ** j / math.factorial(k) if parity_den else 1.0 / math.factorial(k)
+        return (-1.0) ** j * _inv_factorial(k) if parity_den else _inv_factorial(k)
 
     return c
 
@@ -226,7 +237,7 @@ def _sign_eval(z):
 
 NAMED_FUNCTIONS = {
     "exp": ScalarFn(np.exp, 1.0, "exp",
-                    Series(lambda k: 1.0 / math.factorial(k), np.inf),
+                    Series(_inv_factorial, np.inf),
                     deriv=lambda z0, k: np.exp(z0)),
     "ln1p": ScalarFn(_ln1p, 0.0, "ln1p",
                      Series(lambda k: 0.0 if k == 0 else (-1.0) ** (k + 1) / k, 1.0),
@@ -442,8 +453,9 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
                               np.ones_like(shifted), np.multiply, np.linalg.norm, max_terms, tol)
     # a vanishing coefficient can make the very last term tiny while the
     # series still diverges, so judge the last two terms together
-    if tail > 100 * tol:
-        raise NoConvergence(f"hit {max_terms} terms with relative term size {tail:.3g}")
+    if not tail <= 100 * tol:
+        raise NoConvergence(
+            f"series did not settle within {max_terms} terms (relative term size {tail:.3g})")
     real = np.all(np.abs(acc.imag) <= 1e-13 * (1 + np.abs(acc)))
     return c.rebuild(acc.real if real else acc)
 

@@ -11,11 +11,15 @@ values.
 
 Both readers reject a zero dimension and any non-finite value. The binary
 reader checks the payload size the header declares against the bytes left
-in the file before it reads.
+in the file before it reads. A ``real64`` file reads into a float64 tensor
+and a ``complex128`` file into a complex128 one (float64 when every
+imaginary part is zero); a writer tags a tensor by its stored dtype unless
+``force_complex`` is set.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import struct
@@ -36,10 +40,9 @@ _HEADER = struct.Struct("<4sIQQQI")
 def write_binary(path, a: Tensor3, force_complex=False):
     real = a.exactly_real and not force_complex
     tag = DTYPE_REAL if real else DTYPE_COMPLEX
-    payload = a.data.real if real else a.data
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, a.m, a.n, a.p, tag))
-        fh.write(np.ascontiguousarray(payload, dtype="<f8" if real else "<c16").tobytes())
+        fh.write(a.data.astype("<f8" if real else "<c16", copy=False))
 
 
 def read_binary(path) -> Tensor3:
@@ -89,16 +92,19 @@ _COMPLEX_RE = re.compile(
 )
 
 
-def _parse_value(tok, complex_file):
-    if complex_file:
-        m = _COMPLEX_RE.match(tok)
-        if not m:
-            raise FileFormatError(f"bad complex token {tok!r}")
-        return complex(float(m.group(1)), float(m.group(2)))
+def _parse_complex(tok):
+    m = _COMPLEX_RE.match(tok)
+    if not m:
+        raise FileFormatError(f"bad complex token {tok!r}")
+    return complex(float(m.group(1)), float(m.group(2)))
+
+
+def _is_real_token(tok):
     try:
-        return float(tok)
+        float(tok)
     except ValueError:
-        raise FileFormatError(f"bad real token {tok!r}") from None
+        return False
+    return True
 
 
 def write_text(path, a: Tensor3, force_complex=False):
@@ -110,7 +116,7 @@ def write_text(path, a: Tensor3, force_complex=False):
         # shortest round-trip form
         for d in a.data:
             if real:
-                lines = [" ".join(map(repr, row)) for row in d.real.tolist()]
+                lines = [" ".join(map(repr, row)) for row in d.tolist()]
             else:
                 lines = [" ".join(map(_fmt_complex, row, im))
                          for row, im in zip(d.real.tolist(), d.imag.tolist())]
@@ -134,16 +140,24 @@ def read_text(path) -> Tensor3:
     body = lines[1:]
     if len(body) != m * p:
         raise FileFormatError(f"{path}: expected {m * p} value lines, found {len(body)}")
-    data = np.empty((p, m, n), dtype=np.complex128)
-    for k in range(p):
-        for i in range(m):
-            toks = body[k * m + i].split()
-            if len(toks) != n:
-                raise FileFormatError(
-                    f"{path}: line {k * m + i + 2} has {len(toks)} values, expected {n}"
-                )
-            data[k, i] = [_parse_value(t, complex_file) for t in toks]
-    return _checked(path, data)
+
+    def row(lineno, line):
+        toks = line.split()
+        if len(toks) != n:
+            raise FileFormatError(f"{path}: line {lineno} has {len(toks)} values, expected {n}")
+        return toks
+
+    # one line's tokens at a time, parsed straight into the array
+    tokens = itertools.chain.from_iterable(map(row, itertools.count(2), body))
+    if complex_file:
+        flat = np.fromiter(map(_parse_complex, tokens), dtype=np.complex128, count=m * n * p)
+    else:
+        try:
+            flat = np.fromiter(map(float, tokens), dtype=np.float64, count=m * n * p)
+        except ValueError:
+            bad = next(t for line in body for t in line.split() if not _is_real_token(t))
+            raise FileFormatError(f"bad real token {bad!r}") from None
+    return _checked(path, flat.reshape(p, m, n))
 
 
 def read_tensor(path) -> Tensor3:

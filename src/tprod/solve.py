@@ -143,29 +143,24 @@ class Contour:
 
 
 def _cluster(values, rtol=_CLUSTER_RTOL):
+    """Ascending cluster centres: sorted values split where a step exceeds rtol * max."""
     vals = np.sort(np.asarray(values, dtype=float))
-    scale = vals[-1]
-    groups = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] <= rtol * scale:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [float(np.mean(g)) for g in groups]
+    breaks = np.flatnonzero(np.diff(vals) > rtol * vals[-1]) + 1
+    return np.array([g.mean() for g in np.split(vals, breaks)])
 
 
 def contour_for(values, nodes=DEFAULT_NODES) -> Contour:
     """One circle per cluster: radius = min(0.45 * gap to nearest, 0.5 * value)."""
-    values = [v for v in np.asarray(values, dtype=float).ravel() if v > 0]
-    if not values:
+    values = np.asarray(values, dtype=float).ravel()
+    values = values[values > 0]
+    if not values.size:
         raise EmptyValues("contour needs at least one positive value")
     centers = _cluster(values)
-    circles = []
-    for i, c in enumerate(centers):
-        gap = min((abs(c - o) for j, o in enumerate(centers) if j != i), default=np.inf)
-        rad = min(0.45 * gap, 0.5 * c)
-        circles.append((complex(c), float(rad)))
-    return Contour(circles=tuple(circles), nodes_per_circle=int(nodes))
+    steps = np.diff(centers)
+    gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
+    radii = np.minimum(0.45 * gaps, 0.5 * centers)
+    circles = tuple(zip(map(complex, centers.tolist()), radii.tolist()))
+    return Contour(circles=circles, nodes_per_circle=int(nodes))
 
 
 def _check_encloses(contour, values):
@@ -247,7 +242,7 @@ def cluster_projector_contour(a: Tensor3, target, nodes=DEFAULT_NODES) -> Tensor
         raise EmptyValues("cluster projector needs at least one positive singular value")
     centers = _cluster(positive)
     target = float(target)
-    k = int(np.argmin([abs(t - target) for t in centers]))
+    k = int(np.argmin(np.abs(centers - target)))
     full = contour_for(positive, nodes)
     circle = full.circles[k]
     sub = Contour(circles=(circle,), nodes_per_circle=nodes)

@@ -48,12 +48,12 @@ def to_faces(*tensors, allow_half=True):
             raise NonFinite(f"{t.m} x {t.n} x {t.p} tensor holds a NaN or an infinity")
     half = allow_half and all(t.exactly_real for t in tensors)
     if half:
-        return True, [np.fft.rfft(t.data.real, axis=0) for t in tensors]
+        return True, [np.fft.rfft(t.data, axis=0) for t in tensors]
     return False, [np.fft.fft(t.data, axis=0) for t in tensors]
 
 
 def from_faces(faces, p, half) -> Tensor3:
-    """Inverse of :func:`to_faces`; a half spectrum comes back exactly real.
+    """Inverse of :func:`to_faces`; a half spectrum comes back as float64.
 
     ``irfft`` ignores the imaginary parts of face 0 and (for even p) face
     p/2, so on the half path those faces must already be real.
@@ -219,7 +219,7 @@ def tcsvd(a: Tensor3, tol_rank=None) -> TCsvd:
     rtol = default_rank_rtol(m, n, p) if tol_rank is None else float(tol_rank)
     smax = float(s.max()) if s.size else 0.0
     cutoff = rtol * smax
-    ranks = tuple(int(c) for c in (s > cutoff).sum(axis=1))
+    ranks = tuple((s > cutoff).sum(axis=1).tolist())
     r = max(ranks) if ranks else 0
     sigma = s[:, :r].copy()
     sigma[sigma <= cutoff] = 0.0

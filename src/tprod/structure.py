@@ -33,14 +33,14 @@ _TINY = 1e-300
 
 def make_reverse(n, p) -> Tensor3:
     """Reverse tensor: first slice is the exchange matrix, rest zero."""
-    data = np.zeros((p, n, n), dtype=np.complex128)
+    data = np.zeros((p, n, n))
     data[0] = np.eye(n)[::-1]
     return Tensor3(data)
 
 
 def make_skew_hamiltonian(n, p) -> Tensor3:
     """The 2n x 2n canonical form [[0, I], [-I, 0]] in the first slice."""
-    data = np.zeros((p, 2 * n, 2 * n), dtype=np.complex128)
+    data = np.zeros((p, 2 * n, 2 * n))
     eye = np.eye(n)
     data[0, :n, n:] = eye
     data[0, n:, :n] = -eye
@@ -49,7 +49,7 @@ def make_skew_hamiltonian(n, p) -> Tensor3:
 
 def make_pseudo(a, b, p) -> Tensor3:
     """Signature tensor diag(I_a, -I_b) in the first slice."""
-    data = np.zeros((p, a + b, a + b), dtype=np.complex128)
+    data = np.zeros((p, a + b, a + b))
     data[0] = np.diag(np.concatenate([np.ones(a), -np.ones(b)]))
     return Tensor3(data)
 
@@ -59,7 +59,7 @@ def make_permutation(perm, n, p) -> Tensor3:
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise BadPermutation(f"{perm} is not a permutation of 0..{n - 1}")
-    data = np.zeros((p, n, n), dtype=np.complex128)
+    data = np.zeros((p, n, n))
     data[0, perm, np.arange(n)] = 1.0
     return Tensor3(data)
 

@@ -5,7 +5,19 @@ import pytest
 
 from tprod import Tensor3
 
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def pytest_configure(config):
+    # a complex value cast into a float64 array drops its imaginary part
+    # with only a warning; make that a failure
+    config.addinivalue_line(
+        "filterwarnings", f"error::{ComplexWarning.__module__}.{ComplexWarning.__name__}")
 
 
 def rand3(rng, m, n, p, cplx=False):

@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from tprod import (
+    Series,
     Tensor3,
     bcirc,
     bcirc_inv,
@@ -323,6 +327,47 @@ def test_taylor_accepts_sum_at_term_cap(seed):
         gfun_taylor(a, EXP, max_terms=15)
     out = gfun_taylor(a, EXP, max_terms=16)
     assert fnorm(out - gfun(a, EXP)) <= 1e-10 * fnorm(out)
+
+
+def test_taylor_overflow_is_no_convergence():
+    # 100**k overflows before the exp series settles; the sum must not come
+    # back as NaN
+    with pytest.raises(NoConvergence):
+        gfun_taylor(Tensor3([[[100.0]]]), EXP, max_terms=160)
+
+
+@pytest.mark.parametrize("fn", ["exp", "sin", "cosh"])
+def test_series_overflow_raises_without_warnings(fn):
+    f = named_scalar_fn(fn)
+    a = Tensor3(np.array([[[200.0]], [[1.0]]]))
+    calls = [
+        (SeriesDivergence, lambda: f.series.eval(np.array([200.0, 1.0]))),
+        (SeriesDivergence, lambda: standard_tfn(a, f, force_series=True)),
+        (NoConvergence, lambda: gfun_taylor(a, f)),
+    ]
+    for err, call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(err):
+                call()
+        assert not caught
+
+
+def test_series_sum_overflow_is_not_settled():
+    # every term is finite but their sum is not; the later zero terms must not
+    # read as a settled series
+    with pytest.raises(SeriesDivergence):
+        Series.from_coeffs([1e308, 1e308]).eval(1.0)
+
+
+def test_series_coefficients_past_170_terms():
+    coeff = EXP.series.coeff
+    c = [coeff(k) for k in range(168, 176)]
+    assert c[:3] == [1.0 / math.factorial(k) for k in range(168, 171)]
+    assert all(0.0 < b < a for a, b in zip(c, c[1:]))
+    # cosh(60) sums terms past k = 170 before it settles
+    out = named_scalar_fn("cosh").series.eval(np.array([60.0]))
+    assert abs(out[0] - np.cosh(60.0)) <= 1e-12 * np.cosh(60.0)
 
 
 def test_series_eval_unsettled_within_cap():

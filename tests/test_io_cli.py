@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,27 @@ def test_bad_text_headers(tmp_path):
     bad.write_text("2 2 1 complex128\n1+2i 3\n4+0i 5+1i\n")
     with pytest.raises(FileFormatError):
         read_text(bad)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1 2\n3 x\n", "bad real token 'x'"),
+    ("1 2 5\n3\n", "line 2 has 3 values, expected 2"),
+    ("1 2\n3\n", "line 3 has 1 values, expected 2"),
+])
+def test_real_text_defects_name_the_defect(tmp_path, body, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2 1 real64\n" + body)
+    with pytest.raises(FileFormatError, match=message):
+        read_text(bad)
+
+
+def test_real_text_values_parse_as_python_float(tmp_path):
+    toks = ["0.1", "-0.0", "1e-320", "1_0", "+3.5E2", "2.2250738585072014e-308"]
+    path = tmp_path / "r.txt"
+    path.write_text("2 3 1 real64\n" + " ".join(toks[:3]) + "\n" + " ".join(toks[3:]) + "\n")
+    data = read_text(path).data
+    assert data.dtype == np.float64
+    assert data.ravel().tobytes() == np.array([float(t) for t in toks]).tobytes()
 
 
 def test_scientific_notation_tokens(tmp_path):
@@ -275,6 +297,22 @@ def test_cli_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 3
     assert err == "error: RuntimeError: first line second line\n"
+
+
+@pytest.mark.parametrize("standard", [False, True], ids=["taylor", "standard"])
+def test_cli_series_overflow_is_one_line_exit_3(tmp_path, capsys, standard):
+    # 200**k overflows before the exp series settles
+    src = tmp_path / "big.tt3a"
+    write_binary(src, Tensor3(np.array([[[200.0]], [[1.0]]])))
+    argv = ["apply", str(src), "--fn", "exp", "--method", "series", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + (["--standard"] if standard else []))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "OverflowError" not in err and "Traceback" not in err
+    assert not caught
 
 
 def test_cli_pinv(tmp_path, rng):

@@ -196,6 +196,31 @@ def test_contour_for_rules():
         contour_for([])
 
 
+def _contour_for_loop(values, rtol=1e-8):
+    # the per-value reference: cluster sorted values, then each circle's gap
+    # is the smallest distance to any other centre
+    vals = sorted(v for v in np.asarray(values, dtype=float).ravel() if v > 0)
+    groups = [[vals[0]]]
+    for v in vals[1:]:
+        if v - groups[-1][-1] <= rtol * vals[-1]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    centers = [float(np.mean(g)) for g in groups]
+    return tuple(
+        (complex(c), float(min(0.45 * min((abs(c - o) for j, o in enumerate(centers) if j != i),
+                                          default=np.inf), 0.5 * c)))
+        for i, c in enumerate(centers))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contour_for_matches_per_value_loop(seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.random(rng.integers(1, 30)) * 10.0 ** rng.uniform(-3, 3)
+    vals = np.concatenate([vals, vals[:3] * (1 + 1e-12), [0.0, -1.0]])
+    assert contour_for(vals).circles == _contour_for_loop(vals)
+
+
 def test_contour_clustering():
     c = contour_for([1.0, 1.0 + 1e-12, 3.0])
     assert len(c.circles) == 2

@@ -262,7 +262,7 @@ def test_decomposition_determinism(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("entry", ["tcsvd", "gfun", "pinv", "tprod"])
 def test_non_finite_input_rejected_before_lapack(rng, entry, bad):
-    data = rand3(rng, 3, 2, 4).data.copy()
+    data = rand3(rng, 3, 2, 4).data.astype(complex)
     data[1, 2, 0] = bad
     a = Tensor3(data)
     calls = {
