@@ -25,7 +25,6 @@ from .spectral import (
     PartialIsometrySet,
     TCsvd,
     TSvd,
-    face_singular_values,
     isometry,
     partial_isometries,
     projectors,

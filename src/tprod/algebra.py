@@ -12,15 +12,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Tensor3, bcirc, conj_transpose, fnorm, fold, transpose, unfold
-from .errors import DimMismatch, Singular
+from .errors import DimMismatch, InvalidArgument, Singular
 from .spectral import default_rank_rtol, from_faces, to_faces
+
+
+def first_slice(mat, p) -> Tensor3:
+    """The p-slice tensor whose first frontal slice is ``mat``, all others zero."""
+    data = np.zeros((p,) + mat.shape)
+    data[0] = mat
+    return Tensor3(data)
 
 
 def identity(n, p) -> Tensor3:
     """First frontal slice I_n, all other slices zero."""
-    data = np.zeros((p, n, n))
-    data[0] = np.eye(n)
-    return Tensor3(data)
+    return first_slice(np.eye(n), p)
 
 
 def tprod(a: Tensor3, b: Tensor3, method="fft") -> Tensor3:
@@ -30,7 +35,7 @@ def tprod(a: Tensor3, b: Tensor3, method="fft") -> Tensor3:
     if method == "dense":
         return fold(bcirc(a) @ unfold(b), a.m, b.n, a.p)
     if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     half, (fa, fb) = to_faces(a, b)
     return from_faces(fa @ fb, a.p, half)
 
@@ -84,7 +89,7 @@ class FormKind:
 
     def __post_init__(self):
         if self.kind not in ("bilinear", "sesquilinear"):
-            raise ValueError(f"kind must be bilinear or sesquilinear, got {self.kind!r}")
+            raise InvalidArgument(f"kind must be bilinear or sesquilinear, got {self.kind!r}")
         if self.tensor.m != self.tensor.n:
             raise DimMismatch("form tensor must be F-square")
 

@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+_CROSS_CHECK_RTOL = 1e-6  # the contour tolerance of acceptance criterion 07
 
 
 def cmd_info(args):
@@ -30,7 +31,7 @@ def cmd_info(args):
     print(f"dims: {a.m} x {a.n} x {a.p}")
     print(f"dtype: {'real64' if a.exactly_real else 'complex128'}")
     print(f"fnorm: {fnorm(a):.12g}")
-    print(f"specnorm: {c.sigma.max() if c.sigma.size else 0.0:.12g}")
+    print(f"specnorm: {c.sigma.max(initial=0.0):.12g}")
     print(f"tubal rank: {c.r}")
     print(f"face ranks: {' '.join(str(r) for r in c.face_ranks)}")
     return EXIT_OK
@@ -87,6 +88,9 @@ def cmd_apply(args):
         reference = spectral_fn(a, f)
         diff = fnorm(out - reference) / max(fnorm(reference), 1e-300)
         print(f"cross-check vs spectral: {diff:.3e}")
+        if not diff <= _CROSS_CHECK_RTOL:
+            print(f"error: cross-check exceeds {_CROSS_CHECK_RTOL:g}", file=sys.stderr)
+            return EXIT_NUMERICAL
     tio.write_tensor(args.out, out, text=args.text)
     return EXIT_OK
 

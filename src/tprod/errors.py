@@ -84,6 +84,12 @@ class InvalidContour(TprodError, ValueError):
     exit_code = 2
 
 
+class InvalidArgument(TprodError, ValueError):
+    """An argument outside the values the function accepts."""
+
+    exit_code = 2
+
+
 class NonFinite(TprodError):
     """A tensor entering the face domain holds a NaN or an infinity."""
 

@@ -10,7 +10,7 @@ bcirc(A)); the two disagree in general even when f(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     DefectiveFace,
     DimMismatch,
     FnDomainError,
+    InvalidArgument,
     NoConvergence,
     RadiusViolation,
     SeriesDivergence,
@@ -116,9 +117,7 @@ class ScalarFn:
         return self.fn(x)
 
 
-def scalar_fn(fn, value_at_zero, name="", series=None, deriv=None, deriv_radius=None,
-              odd_completed=False) -> ScalarFn:
-    return ScalarFn(fn, value_at_zero, name, series, deriv, deriv_radius, odd_completed)
+scalar_fn = ScalarFn
 
 
 def polynomial(coeffs) -> ScalarFn:
@@ -128,19 +127,10 @@ def polynomial(coeffs) -> ScalarFn:
         raise FnDomainError("polynomial needs a nonempty 1-d coefficient list")
 
     def ev(z):
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.zeros_like(z)
-        for c in arr[::-1]:
-            acc = acc * z + c
-        return acc
+        return np.polyval(arr[::-1], np.asarray(z, dtype=np.complex128))
 
     def dv(z0, k):
-        if k >= arr.size:
-            return 0.0
-        out = 0.0
-        for j in range(k, arr.size):
-            out += arr[j] * math.perm(j, k) * z0 ** (j - k)
-        return out
+        return np.polyval(np.polyder(arr[::-1], k), z0)
 
     return ScalarFn(ev, complex(arr[0]), name="poly", series=Series.from_coeffs(arr),
                     deriv=dv)
@@ -152,13 +142,6 @@ def _cyclic_deriv(funcs):
         return funcs[k % len(funcs)](z0)
 
     return dv
-
-
-def _ln1p(z):
-    z = np.asarray(z)
-    if np.iscomplexobj(z):
-        return np.log(1.0 + z)
-    return np.log1p(z)
 
 
 def _ln1p_deriv(z0, k):
@@ -239,7 +222,7 @@ NAMED_FUNCTIONS = {
     "exp": ScalarFn(np.exp, 1.0, "exp",
                     Series(_inv_factorial, np.inf),
                     deriv=lambda z0, k: np.exp(z0)),
-    "ln1p": ScalarFn(_ln1p, 0.0, "ln1p",
+    "ln1p": ScalarFn(np.log1p, 0.0, "ln1p",
                      Series(lambda k: 0.0 if k == 0 else (-1.0) ** (k + 1) / k, 1.0),
                      deriv=_ln1p_deriv,
                      deriv_radius=lambda z0: abs(1.0 + z0)),
@@ -286,13 +269,18 @@ def named_scalar_fn(name) -> ScalarFn:
         raise FnDomainError(f"unknown scalar function {name!r}") from None
 
 
-def _rebuild_values(c, f):
-    """Ur * f(Sr) * Vr^H from a compact T-SVD; zero singular values gated on f(0) = 0."""
-    zero = c.sigma <= 0.0
-    if c.r > 0 and zero.any() and f.value_at_zero != 0:
+def _require_f_zero(c, f):
+    """Zero singular values inside the rank window need f(0) = 0."""
+    if f.value_at_zero != 0 and (c.sigma <= 0.0).any():
         raise ZeroSingularValueRequiresFZero(
             f"zero singular value inside rank window but f(0) = {f.value_at_zero}"
         )
+
+
+def _rebuild_values(c, f):
+    """Ur * f(Sr) * Vr^H from a compact T-SVD; zero singular values map to 0."""
+    _require_f_zero(c, f)
+    zero = c.sigma <= 0.0
     vals = np.zeros(c.sigma.shape, dtype=np.complex128)
     if (~zero).any():
         out = np.asarray(f(c.sigma[~zero]), dtype=np.complex128)
@@ -403,7 +391,7 @@ def gpower(a: Tensor3, k: int, tol_rank=None) -> Tensor3:
     Satisfies X_{2j+1} = (A * A^H)^j * A and X_{2j} = (A * A^H)^j * E.
     """
     if k < 0 or k != int(k):
-        raise ValueError("generalized power needs a nonnegative integer exponent")
+        raise InvalidArgument("generalized power needs a nonnegative integer exponent")
     e = isometry(tcsvd(a, tol_rank))
     eh = conj_transpose(e)
     x = e
@@ -417,10 +405,7 @@ def _taylor_coeff(f, z0, k):
         return complex(f.series.coeff(k))
     if f.deriv is None:
         raise FnDomainError(f"{f.name or 'f'} has no derivative access at z0 = {z0}")
-    d = complex(f.deriv(z0, k))
-    if k < 150:
-        return d / math.factorial(k)
-    return d * math.exp(-math.lgamma(k + 1))
+    return complex(f.deriv(z0, k)) * _inv_factorial(k)
 
 
 def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-12,
@@ -431,40 +416,37 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
     convergence around z0; must agree with :func:`gfun` to about 10 * tol.
     """
     c = tcsvd(a, tol_rank)
-    if c.r == 0:
-        return Tensor3.zeros(a.m, a.n, a.p)
-    zero = c.sigma <= 0.0
-    if zero.any() and f.value_at_zero != 0:
-        raise ZeroSingularValueRequiresFZero("zero singular value in window but f(0) != 0")
-
     radius = None
     if z0 == 0 and f.series is not None:
         radius = f.series.radius
     elif f.deriv_radius is not None:
         radius = f.deriv_radius(z0)
     dist = np.abs(c.sigma - z0)
-    if radius is not None and np.isfinite(radius) and dist.max() >= radius:
+    if radius is not None and (dist >= radius).any():
         raise RadiusViolation(
             f"singular value at distance {dist.max():.3g} from z0 exceeds radius {radius:.3g}"
         )
 
-    shifted = c.sigma.astype(np.complex128) - z0
-    acc, tail = _power_series(lambda k: _taylor_coeff(f, z0, k), shifted,
-                              np.ones_like(shifted), np.multiply, np.linalg.norm, max_terms, tol)
-    # a vanishing coefficient can make the very last term tiny while the
-    # series still diverges, so judge the last two terms together
-    if not tail <= 100 * tol:
-        raise NoConvergence(
-            f"series did not settle within {max_terms} terms (relative term size {tail:.3g})")
-    real = np.all(np.abs(acc.imag) <= 1e-13 * (1 + np.abs(acc)))
-    return c.rebuild(acc.real if real else acc)
+    def taylor_sum(x):
+        shifted = x.astype(np.complex128) - z0
+        acc, tail = _power_series(lambda k: _taylor_coeff(f, z0, k), shifted,
+                                  np.ones_like(shifted), np.multiply, np.linalg.norm,
+                                  max_terms, tol)
+        # a vanishing coefficient can make the very last term tiny while the
+        # series still diverges, so judge the last two terms together
+        if not tail <= 100 * tol:
+            raise NoConvergence(
+                f"series did not settle within {max_terms} terms (relative term size {tail:.3g})")
+        return acc
+
+    return _rebuild_values(c, replace(f, fn=taylor_sum))
 
 
 def named_gfun(a: Tensor3, name, tol_rank=None) -> Tensor3:
     """Generalized function by name, enforcing the positivity preconditions."""
     f = named_scalar_fn(name)
     c = tcsvd(a, tol_rank)
-    if f.name in POSITIVE_ONLY and c.r > 0 and np.any(c.sigma <= 0.0):
+    if f.name in POSITIVE_ONLY and np.any(c.sigma <= 0.0):
         raise ZeroSingularValueRequiresFZero(
             f"{f.name} needs strictly positive singular values in the rank window"
         )

@@ -7,7 +7,10 @@ payload as IEEE-754 doubles (complex entries as re, im pairs).
 Text layout: first line ``m n p dtype``; then p blocks of m lines of n
 whitespace-separated values. Complex entries are written ``a+bi`` with
 shortest round-trip decimals, so text and binary forms carry identical
-values.
+values. A ``real64`` token is a Python float literal and a ``complex128``
+token a Python complex literal with a trailing ``i`` in place of ``j``
+(``1_0+2i`` and ``2i`` parse; ``3``, ``1+2j``, ``(1+2i)`` and a bare
+``i`` do not).
 
 Both readers reject a zero dimension and any non-finite value. The binary
 reader checks the payload size the header declares against the bytes left
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import re
 import struct
 
 import numpy as np
@@ -86,25 +88,11 @@ def _fmt_complex(re_, im):
     return f"{re_!r}{sign}{abs(im)!r}i"
 
 
-_COMPLEX_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+|inf|nan)(?:[eE][+-]?\d+)?)"
-    r"([+-](?:\d+\.?\d*|\.\d+|inf|nan)(?:[eE][+-]?\d+)?)i$"
-)
-
-
 def _parse_complex(tok):
-    m = _COMPLEX_RE.match(tok)
-    if not m:
-        raise FileFormatError(f"bad complex token {tok!r}")
-    return complex(float(m.group(1)), float(m.group(2)))
-
-
-def _is_real_token(tok):
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
+    """``a+bi`` as a Python complex literal with ``i`` for ``j``; a bare ``i`` is refused."""
+    if not tok.endswith("i") or tok[-2:-1] in ("", "+", "-"):
+        raise ValueError(tok)
+    return complex(tok[:-1] + "j")
 
 
 def write_text(path, a: Tensor3, force_complex=False):
@@ -149,14 +137,16 @@ def read_text(path) -> Tensor3:
 
     # one line's tokens at a time, parsed straight into the array
     tokens = itertools.chain.from_iterable(map(row, itertools.count(2), body))
-    if complex_file:
-        flat = np.fromiter(map(_parse_complex, tokens), dtype=np.complex128, count=m * n * p)
-    else:
-        try:
-            flat = np.fromiter(map(float, tokens), dtype=np.float64, count=m * n * p)
-        except ValueError:
-            bad = next(t for line in body for t in line.split() if not _is_real_token(t))
-            raise FileFormatError(f"bad real token {bad!r}") from None
+    kind, parse, dtype = (("complex", _parse_complex, np.complex128) if complex_file
+                          else ("real", float, np.float64))
+    try:
+        flat = np.fromiter(map(parse, tokens), dtype=dtype, count=m * n * p)
+    except ValueError:
+        for tok in itertools.chain.from_iterable(map(str.split, body)):
+            try:
+                parse(tok)
+            except ValueError:
+                raise FileFormatError(f"bad {kind} token {tok!r}") from None
     return _checked(path, flat.reshape(p, m, n))
 
 

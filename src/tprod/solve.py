@@ -28,13 +28,13 @@ from .errors import (
     InvalidContour,
     NearSingularShift,
     ZeroSingularValue,
-    ZeroSingularValueRequiresFZero,
 )
+from .genfun import _require_f_zero
 from .spectral import TCsvd, from_faces, isometry, tcsvd, to_faces
 
 DEFAULT_NODES = 256
 _CLUSTER_RTOL = 1e-8
-# a shift nearer than this times Resolvent.scale() to a singular value is refused
+# a shift nearer than this times max(sigma_max, 1) to a singular value is refused
 _SHIFT_RTOL = 1e-8
 
 
@@ -93,21 +93,24 @@ class Resolvent:
     def E(self) -> Tensor3:
         return isometry(self.csvd)
 
-    def scale(self):
-        return max(float(self.csvd.sigma.max()) if self.csvd.sigma.size else 0.0, 1.0)
+
+def _shifted(c: TCsvd, z):
+    """(len(z), p, r) differences z - sigma for an array of shifts, each guarded."""
+    diff = z[:, None, None] - c.sigma
+    dist = np.abs(diff).min(axis=(1, 2), initial=np.inf)
+    near = dist < _SHIFT_RTOL * max(float(c.sigma.max(initial=0.0)), 1.0)
+    if near.any():
+        k = int(near.argmax())
+        raise NearSingularShift(f"shift {z[k]} is within {dist[k]:.3e} of a singular value")
+    return diff
 
 
 def resolvent_eval(r: Resolvent, z) -> Tensor3:
     """(z E - A)^+ = Vr * (z I - Sr)^-1 * Ur^H (an n x m x p tensor)."""
-    c = r.csvd
-    if c.r == 0:
-        return Tensor3.zeros(c.n, c.m, c.p)
     z = complex(z)
-    dist = np.abs(z - c.sigma).min()
-    if dist < _SHIFT_RTOL * r.scale():
-        raise NearSingularShift(f"shift {z} is within {dist:.3e} of a singular value")
     # a real shift keeps the values real, so a real input rebuilds real
-    return c.rebuild(1.0 / ((z.real if z.imag == 0.0 else z) - c.sigma), adjoint=True)
+    diff = _shifted(r.csvd, np.array([z.real if z.imag == 0.0 else z]))
+    return r.csvd.rebuild(1.0 / diff[0], adjoint=True)
 
 
 def resolvent_identity_residual(r: Resolvent, lam, mu) -> float:
@@ -191,16 +194,9 @@ def _contour_sum(res: Resolvent, contour, coef) -> Tensor3:
     array at nodes x p x r. Each node keeps the :func:`resolvent_eval` guard.
     """
     c = res.csvd
-    limit = _SHIFT_RTOL * res.scale()
     vals = np.zeros(c.sigma.shape, dtype=np.complex128)
     for z, w in _quad_nodes(contour):
-        diff = z[:, None, None] - c.sigma
-        dist = np.abs(diff).min(axis=(1, 2))
-        near = dist < limit
-        if near.any():
-            k = int(near.argmax())
-            raise NearSingularShift(f"shift {z[k]} is within {dist[k]:.3e} of a singular value")
-        vals += ((coef(z) * w)[:, None, None] / diff).sum(axis=0)
+        vals += ((coef(z) * w)[:, None, None] / _shifted(c, z)).sum(axis=0)
     return c.rebuild(vals, adjoint=True)
 
 
@@ -217,8 +213,7 @@ def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
     c = res.csvd
     if c.r == 0:
         return Tensor3.zeros(a.m, a.n, a.p)
-    if np.any(c.sigma <= 0.0) and f.value_at_zero != 0:
-        raise ZeroSingularValueRequiresFZero("zero singular value in window but f(0) != 0")
+    _require_f_zero(c, f)
     positive = c.sigma[c.sigma > 0.0]
     if contour is None:
         acc = _contour_sum(res, contour_for(positive, nodes), f)
@@ -236,15 +231,9 @@ def cluster_projector_contour(a: Tensor3, target, nodes=DEFAULT_NODES) -> Tensor
     Equals the sum of that cluster's partial-isometry components.
     """
     res = Resolvent.of(a)
-    c = res.csvd
-    positive = c.sigma[c.sigma > 0.0]
-    if positive.size == 0:
-        raise EmptyValues("cluster projector needs at least one positive singular value")
-    centers = _cluster(positive)
     target = float(target)
-    k = int(np.argmin(np.abs(centers - target)))
-    full = contour_for(positive, nodes)
-    circle = full.circles[k]
+    circles = contour_for(res.csvd.sigma, nodes).circles
+    circle = min(circles, key=lambda cr: abs(cr[0].real - target))
     sub = Contour(circles=(circle,), nodes_per_circle=nodes)
     acc = _contour_sum(res, sub, lambda z: 1.0)
     e = res.E
@@ -300,7 +289,6 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
     # the full spectrum, so this oracle shares no half-spectrum logic with standard_tfn
     _, (faces,) = to_faces(a, allow_half=False)
     eigs = np.linalg.eigvals(faces).ravel()
-    explicit = contour is not None
     if contour is None:
         center = complex(eigs.mean())
         spread = float(np.abs(eigs - center).max())
@@ -314,8 +302,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
     if len(contour.circles) != 1:
         # eigenvalues outside a circle make B^N grow, which the closed form would cancel
         raise InvalidContour("the standard-function oracle takes one enclosing circle")
-    if explicit:  # the default circle encloses every eigenvalue by construction
-        _check_encloses(contour, eigs)
+    _check_encloses(contour, eigs)
 
     (z, _), = _quad_nodes(contour)
     (center, rad), = contour.circles

@@ -68,13 +68,6 @@ def mirror(faces, p):
     return np.concatenate([faces, faces[1:(p + 1) // 2][::-1].conj()])
 
 
-def face_singular_values(a: Tensor3) -> np.ndarray:
-    """(p, min(m, n)) singular values of every DFT face, descending per face."""
-    half, (faces,) = to_faces(a)
-    s = np.linalg.svd(faces, compute_uv=False)
-    return mirror(s, a.p) if half else s
-
-
 def _unit_phase(x, axis):
     """Phase of the largest-magnitude entry along ``axis`` (1 where that entry is 0)."""
     top = np.take_along_axis(x, np.abs(x).argmax(axis=axis, keepdims=True), axis=axis)
@@ -198,9 +191,6 @@ class TCsvd:
         the conjugate pairing, so they use :attr:`full_frames`.
         """
         vals = np.asarray(vals)
-        if self.r == 0:
-            m, n = (self.n, self.m) if adjoint else (self.m, self.n)
-            return Tensor3.zeros(m, n, self.p)
         half = self.half and not np.iscomplexobj(vals)
         uf, vhf = (self.uf, self.vhf) if half else self.full_frames
         vals = vals[: uf.shape[0], None, :]
@@ -217,10 +207,9 @@ def tcsvd(a: Tensor3, tol_rank=None) -> TCsvd:
     if half:
         s = mirror(s, p)
     rtol = default_rank_rtol(m, n, p) if tol_rank is None else float(tol_rank)
-    smax = float(s.max()) if s.size else 0.0
-    cutoff = rtol * smax
+    cutoff = rtol * float(s.max())
     ranks = tuple((s > cutoff).sum(axis=1).tolist())
-    r = max(ranks) if ranks else 0
+    r = max(ranks)
     sigma = s[:, :r].copy()
     sigma[sigma <= cutoff] = 0.0
     return TCsvd(
@@ -254,8 +243,6 @@ def projectors(c: TCsvd):
     the tubal rank) are excluded; only then do the frames reproduce the
     pseudoinverse projectors.
     """
-    if c.r == 0:
-        return Tensor3.zeros(c.m, c.m, c.p), Tensor3.zeros(c.n, c.n, c.p)
     mask = (c.sigma[: c.uf.shape[0]] > 0.0)[:, None, :]
     vf = _ct(c.vhf)
     q_left = from_faces((c.uf * mask) @ _ct(c.uf), c.p, c.half)

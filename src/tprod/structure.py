@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FormKind, adjoint, identity, is_unitary, tprod
+from .algebra import FormKind, adjoint, first_slice, identity, is_unitary, tprod
 from .core import (Tensor3, bcirc, block, circulant_index, circulant_means, conj_transpose,
                    fnorm, transpose)
 from .errors import (
@@ -33,25 +33,17 @@ _TINY = 1e-300
 
 def make_reverse(n, p) -> Tensor3:
     """Reverse tensor: first slice is the exchange matrix, rest zero."""
-    data = np.zeros((p, n, n))
-    data[0] = np.eye(n)[::-1]
-    return Tensor3(data)
+    return first_slice(np.eye(n)[::-1], p)
 
 
 def make_skew_hamiltonian(n, p) -> Tensor3:
     """The 2n x 2n canonical form [[0, I], [-I, 0]] in the first slice."""
-    data = np.zeros((p, 2 * n, 2 * n))
-    eye = np.eye(n)
-    data[0, :n, n:] = eye
-    data[0, n:, :n] = -eye
-    return Tensor3(data)
+    return first_slice(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n)), p)
 
 
 def make_pseudo(a, b, p) -> Tensor3:
     """Signature tensor diag(I_a, -I_b) in the first slice."""
-    data = np.zeros((p, a + b, a + b))
-    data[0] = np.diag(np.concatenate([np.ones(a), -np.ones(b)]))
-    return Tensor3(data)
+    return first_slice(np.diag(np.concatenate([np.ones(a), -np.ones(b)])), p)
 
 
 def make_permutation(perm, n, p) -> Tensor3:
@@ -59,9 +51,7 @@ def make_permutation(perm, n, p) -> Tensor3:
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise BadPermutation(f"{perm} is not a permutation of 0..{n - 1}")
-    data = np.zeros((p, n, n))
-    data[0, perm, np.arange(n)] = 1.0
-    return Tensor3(data)
+    return first_slice(np.eye(n)[:, perm], p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +172,10 @@ def _form_for(cls: StructClass, n, p) -> FormKind:
         if a + b != n or a <= 0 or b <= 0:
             raise DimMismatch(f"signature split ({a},{b}) does not fit n={n}")
         t = make_pseudo(a, b, p)
-    elif tkey == "J":
+    else:  # "J"
         if n % 2:
             raise DimMismatch(f"{cls.name} needs an even dimension, got {n}")
         t = make_skew_hamiltonian(n // 2, p)
-    else:  # pragma: no cover
-        raise UnsupportedClass(tkey)
     return FormKind(kind, t)
 
 
@@ -449,13 +437,11 @@ def zero_slice_check(a: Tensor3, f, tol=1e-10):
     f = named_scalar_fn(f)
     g = gfun(a, f)
     scale = max(fnorm(g), fnorm(a), _TINY)
-    worst = 0.0
-    for j in range(a.n):  # lateral slices (columns)
-        if np.abs(a.data[:, :, j]).max() == 0.0:
-            worst = max(worst, float(np.linalg.norm(g.data[:, :, j])) / scale)
-    for i in range(a.m):  # horizontal slices (rows)
-        if np.abs(a.data[:, i, :]).max() == 0.0:
-            worst = max(worst, float(np.linalg.norm(g.data[:, i, :])) / scale)
+    lateral = ~a.data.any(axis=(0, 1))  # all-zero columns
+    horizontal = ~a.data.any(axis=(0, 2))  # all-zero rows
+    norms = np.concatenate([np.linalg.norm(g.data[:, :, lateral], axis=(0, 1)),
+                            np.linalg.norm(g.data[:, horizontal, :], axis=(0, 2))])
+    worst = float(norms.max(initial=0.0)) / scale
     return worst <= tol, worst
 
 
@@ -592,12 +578,11 @@ def cone_invariance_check(spec: ConeSpec, f, trials=5, seed=0, tol=1e-8):
     if np.any(np.diff(ys.real) < -1e-12):
         raise HypothesisViolation(f"{f.name or 'f'} must be non-decreasing on the sampled range")
 
-    worst = 0.0
     results = []
     for t in range(trials):
         member = random_cone_member(spec, seed=seed + 31 * t)
         image = gfun(member, f)
         _, residual = cone_membership(spec, image, tol)
         results.append(residual)
-        worst = max(worst, residual)
+    worst = max(results, default=0.0)
     return worst <= tol, worst, tuple(results)

@@ -17,7 +17,7 @@ from tprod import (
     transpose,
 )
 from tprod import make_permutation, make_pseudo, make_reverse, make_skew_hamiltonian
-from tprod.errors import DimMismatch, Singular
+from tprod.errors import DimMismatch, InvalidArgument, Singular
 
 from conftest import rand3
 
@@ -95,6 +95,19 @@ def test_is_unitary():
     assert is_unitary(make_reverse(4, 2))
     assert is_unitary(make_skew_hamiltonian(2, 3))
     assert is_unitary(make_pseudo(2, 2, 3))
+
+
+def test_unknown_tprod_method_is_usage_error(rng):
+    a = rand3(rng, 2, 2, 3)
+    with pytest.raises(InvalidArgument, match="unknown method 'blas'") as exc:
+        tprod(a, a, method="blas")
+    assert isinstance(exc.value, ValueError) and exc.value.exit_code == 2
+
+
+def test_unknown_form_kind_is_usage_error():
+    with pytest.raises(InvalidArgument, match="kind must be bilinear or sesquilinear") as exc:
+        FormKind("quadratic", identity(3, 2))
+    assert isinstance(exc.value, ValueError) and exc.value.exit_code == 2
 
 
 def test_random_not_unitary(rng):

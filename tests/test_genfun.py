@@ -35,6 +35,7 @@ from tprod import (
 from tprod.errors import (
     DefectiveFace,
     FnDomainError,
+    InvalidArgument,
     NoConvergence,
     RadiusViolation,
     SeriesDivergence,
@@ -269,6 +270,13 @@ def test_gpower_basics(rng):
     assert fnorm(gpower(a, 1) - a) <= 1e-11 * fnorm(a)
     direct = tprod(a, tprod(transpose(a), a))  # real input: A * A^T * A
     assert fnorm(gpower(a, 3) - direct) <= 1e-10 * fnorm(direct)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5])
+def test_gpower_bad_exponent_is_usage_error(rng, k):
+    with pytest.raises(InvalidArgument, match="nonnegative integer exponent") as exc:
+        gpower(rand3(rng, 2, 2, 2), k)
+    assert isinstance(exc.value, ValueError) and exc.value.exit_code == 2
 
 
 def test_gpower_even_odd_identities(rng):

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -123,6 +124,28 @@ def test_real_text_values_parse_as_python_float(tmp_path):
     assert data.ravel().tobytes() == np.array([float(t) for t in toks]).tobytes()
 
 
+@pytest.mark.parametrize("tok, want", [("1_0+2i", 10 + 2j), ("1.+2.i", 1 + 2j), ("2i", 2j)])
+def test_complex_text_token_is_a_python_complex_literal(tmp_path, tok, want):
+    path = tmp_path / "c.txt"
+    path.write_text(f"1 1 1 complex128\n{tok}\n")
+    assert read_text(path).data[0, 0, 0] == want
+
+
+@pytest.mark.parametrize("tok", ["3", "1+2j", "(1+2i)", "1+2I", "i", "1+-2i"])
+def test_bad_complex_text_token_is_named(tmp_path, tok):
+    path = tmp_path / "c.txt"
+    path.write_text(f"2 1 1 complex128\n1+0i\n{tok}\n")
+    with pytest.raises(FileFormatError, match=f"^bad complex token {re.escape(repr(tok))}$"):
+        read_text(path)
+
+
+def test_nan_complex_token_fails_as_non_finite(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("1 1 1 complex128\nnan+0i\n")
+    with pytest.raises(FileFormatError, match="non-finite value"):
+        read_text(path)
+
+
 def test_scientific_notation_tokens(tmp_path):
     t = Tensor3(np.array([[[1e-5 + 2e3j]]]))
     path = tmp_path / "sci.txt"
@@ -221,6 +244,21 @@ def test_cli_apply_methods_cross_check(tmp_path, capsys, rng):
         out = capsys.readouterr().out
         assert rc == 0
         assert "cross-check vs spectral" in out
+
+
+def test_cli_apply_failed_cross_check_exits_3(tmp_path, capsys):
+    # the default circle of the standard-function contour oracle loses digits
+    # on these unscaled faces (8.6e-4 from the spectral route)
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, Tensor3(2 * np.random.default_rng(0).standard_normal((16, 4, 4))))
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(src), "--fn", "exp", "--standard", "--method", "contour",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "cross-check vs spectral: " in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_apply_poly(tmp_path, rng):

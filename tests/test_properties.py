@@ -17,17 +17,21 @@ from tprod import (
     conj_transpose,
     fnorm,
     gfun,
+    gfun_taylor,
     identity,
     inverse,
     is_unitary,
     named_scalar_fn,
     pinv,
+    polynomial,
     random_unitary,
     scalar_fn,
+    specnorm,
     standard_tfn,
     tcsvd,
     tprod,
     tsvd,
+    zero_slice_check,
 )
 
 from conftest import dense_gmf, rand_face_ranks
@@ -153,3 +157,40 @@ def test_complex_valued_gfun_matches_dense_route(at):
     assert np.linalg.norm(bcirc(out) - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
     if real and tcsvd(a).r > 0:
         assert not out.exactly_real
+
+
+@PROPERTY
+@given(tensors(), st.lists(st.booleans(), min_size=4, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_zeroed_slices_survive_the_generalized_function(at, rows, cols):
+    a, _ = at
+    data = a.data.copy()
+    data[:, rows[:a.m], :] = 0.0
+    data[:, :, cols[:a.n]] = 0.0
+    a = Tensor3(data)
+    ok, worst = zero_slice_check(a, "sin")
+    g = gfun(a, named_scalar_fn("sin"))
+    scale = max(fnorm(g), fnorm(a), 1e-300)
+    want = 0.0
+    for j in range(a.n):
+        if not a.data[:, :, j].any():
+            want = max(want, float(np.linalg.norm(g.data[:, :, j])) / scale)
+    for i in range(a.m):
+        if not a.data[:, i, :].any():
+            want = max(want, float(np.linalg.norm(g.data[:, i, :])) / scale)
+    assert ok
+    assert abs(worst - want) <= 1e-12 * want
+
+
+@PROPERTY
+@given(tensors(), st.sampled_from(["sin", "sinh", "poly"]))
+def test_taylor_route_matches_spectral_route(at, name):
+    a, real = at
+    a = (1.5 / max(specnorm(a), 1e-300)) * a
+    # the polynomial goes through its derivatives around z0 = 0.5
+    f, z0 = ((polynomial([0.0, 1.0, 0.0, 2.0]), 0.5) if name == "poly"
+             else (named_scalar_fn(name), 0.0))
+    out = gfun_taylor(a, f, z0=z0)
+    want = gfun(a, f)
+    assert fnorm(out - want) <= 1e-9 * max(fnorm(want), 1.0)
+    assert out.exactly_real or not real

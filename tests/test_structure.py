@@ -61,6 +61,13 @@ def test_permutation_tensor():
         make_permutation([0, 0, 1], 3, 2)
 
 
+def test_permutation_tensor_places_ones_at_perm_j_j():
+    p = make_permutation([2, 0, 1], 3, 2)
+    want = np.zeros((2, 3, 3))
+    want[0, 2, 0] = want[0, 0, 1] = want[0, 1, 2] = 1.0
+    assert np.array_equal(p.data, want)
+
+
 def test_identity_memberships():
     eye = identity(3, 2)
     for name in ("symmetric", "orthogonal", "doubly_f_stochastic", "normal", "f_circulant"):
