@@ -7,7 +7,7 @@ the dense block-circulant path is O(m n s p^2) and is kept behind the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def tprod(a: Tensor3, b: Tensor3, method="fft") -> Tensor3:
     return from_faces(fa @ fb, a.p, half)
 
 
-def inverse(a: Tensor3, tol_rank=None) -> Tensor3:
+def inverse(a: Tensor3) -> Tensor3:
     """T-product inverse of an F-square tensor.
 
     Raises :class:`Singular` (with the worst face index and its smallest
@@ -50,11 +50,9 @@ def inverse(a: Tensor3, tol_rank=None) -> Tensor3:
         raise DimMismatch(f"inverse needs an F-square tensor, got {a.shape}")
     half, (faces,) = to_faces(a)
     sv = np.linalg.svd(faces, compute_uv=False)
-    smax = float(sv.max())
-    rtol = default_rank_rtol(a.m, a.n, a.p) if tol_rank is None else float(tol_rank)
     smin_per_face = sv[:, -1]
     worst = int(np.argmin(smin_per_face))
-    if smin_per_face[worst] <= rtol * smax:
+    if smin_per_face[worst] <= default_rank_rtol(a.m, a.n, a.p) * float(sv.max()):
         raise Singular(
             f"face {worst} is singular (min singular value {smin_per_face[worst]:.3e})",
             face=worst,
@@ -85,7 +83,6 @@ class FormKind:
 
     kind: str
     tensor: Tensor3
-    _inv: Tensor3 = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("bilinear", "sesquilinear"):
@@ -94,7 +91,7 @@ class FormKind:
             raise DimMismatch("form tensor must be F-square")
 
     def inv(self) -> Tensor3:
-        if self._inv is None:
+        if "_inv" not in vars(self):
             self._inv = inverse(self.tensor)
         return self._inv
 

@@ -12,9 +12,9 @@ import sys
 from . import io as tio
 from .algebra import tprod
 from .core import conj_transpose, fnorm
-from .errors import FnDomainError, TprodError
+from .errors import FnDomainError, InvalidArgument, TprodError
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
-from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
+from .solve import DEFAULT_NODES, gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
 from .spectral import tcsvd
 from .structure import StructClass, is_member, preservation_check
 
@@ -73,6 +73,11 @@ def _resolve_fn(args):
 
 
 def cmd_apply(args):
+    if args.z0 is not None and (args.standard or args.method != "series"):
+        raise InvalidArgument(
+            "--z0 belongs to the generalized series route (--method series without --standard)")
+    if args.nodes is not None and args.method != "contour":
+        raise InvalidArgument("--nodes belongs to the contour routes (--method contour)")
     a = tio.read_tensor(args.path)
     f = _resolve_fn(args)
     spectral_fn = standard_tfn if args.standard else gfun
@@ -81,10 +86,10 @@ def cmd_apply(args):
     else:
         if args.method == "series":
             out = (standard_tfn(a, f, force_series=True) if args.standard
-                   else gfun_taylor(a, f, z0=args.z0))
+                   else gfun_taylor(a, f, z0=args.z0 or 0.0))
         else:
             contour_fn = standard_fn_contour if args.standard else gfun_contour
-            out = contour_fn(a, f, nodes=args.nodes)
+            out = contour_fn(a, f, nodes=DEFAULT_NODES if args.nodes is None else args.nodes)
         reference = spectral_fn(a, f)
         diff = fnorm(out - reference) / max(fnorm(reference), 1e-300)
         print(f"cross-check vs spectral: {diff:.3e}")
@@ -175,8 +180,8 @@ def build_parser():
     mode.add_argument("--standard", action="store_true", default=False)
     p_app.add_argument("--method", choices=("spectral", "series", "contour"),
                        default="spectral")
-    p_app.add_argument("--nodes", type=int, default=256)
-    p_app.add_argument("--z0", type=float, default=0.0, help="series expansion point")
+    p_app.add_argument("--nodes", type=int, help="quadrature nodes of the contour routes")
+    p_app.add_argument("--z0", type=float, help="expansion point of the generalized series route")
     p_app.add_argument("--out", required=True)
     p_app.add_argument("--text", action="store_true")
     p_app.set_defaults(fn_=cmd_apply)

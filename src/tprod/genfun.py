@@ -73,9 +73,10 @@ class Series:
     radius: float
 
     @classmethod
-    def from_coeffs(cls, coeffs, radius=np.inf):
+    def from_coeffs(cls, coeffs):
+        """The polynomial with these low-order-first coefficients (an entire series)."""
         arr = np.asarray(coeffs, dtype=np.complex128)
-        return cls(coeff=lambda k: complex(arr[k]) if k < arr.size else 0.0, radius=radius)
+        return cls(coeff=lambda k: complex(arr[k]) if k < arr.size else 0.0, radius=np.inf)
 
     def eval(self, z):
         """Partial sums of the series at z (array ok); guards the radius."""
@@ -97,7 +98,6 @@ class ScalarFn:
     the declared f(0) used to gate zero singular values inside the rank
     window. ``deriv(z0, k)`` gives the k-th derivative for Taylor mode, and
     ``deriv_radius(z0)`` the local disc of convergence (None means entire).
-    ``odd_completed`` marks f as extended to negatives by f(-x) = -f(x).
     """
 
     fn: Callable
@@ -106,15 +106,9 @@ class ScalarFn:
     series: Optional[Series] = None
     deriv: Optional[Callable[[complex, int], complex]] = None
     deriv_radius: Optional[Callable[[complex], float]] = None
-    odd_completed: bool = False
 
     def __call__(self, x):
-        x = np.asarray(x)
-        if self.odd_completed and not np.iscomplexobj(x) and np.any(x < 0):
-            ax = np.abs(x)
-            out = np.asarray(self.fn(ax), dtype=np.complex128)
-            return np.sign(x) * out
-        return self.fn(x)
+        return self.fn(np.asarray(x))
 
 
 scalar_fn = ScalarFn
@@ -177,6 +171,8 @@ def _alt(parity_num, parity_den):
 def power_fn(alpha) -> ScalarFn:
     """f(x) = x**alpha on the nonnegative axis (principal branch elsewhere)."""
     alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise FnDomainError(f"power exponent must be finite, got {alpha}")
     if alpha > 0:
         f0 = 0.0
     elif alpha == 0:
@@ -203,10 +199,8 @@ def power_fn(alpha) -> ScalarFn:
         coeffs = np.zeros(int(alpha) + 1)
         coeffs[int(alpha)] = 1.0
         series = Series.from_coeffs(coeffs)
-    odd = alpha == int(alpha) and int(alpha) % 2 == 1
     return ScalarFn(ev, f0, name=f"power({alpha:g})", series=series, deriv=dv,
-                    deriv_radius=(None if series is not None else (lambda z0: abs(z0))),
-                    odd_completed=odd)
+                    deriv_radius=(None if series is not None else (lambda z0: abs(z0))))
 
 
 def _sign_eval(z):
@@ -228,17 +222,16 @@ NAMED_FUNCTIONS = {
                      deriv_radius=lambda z0: abs(1.0 + z0)),
     "sin": ScalarFn(np.sin, 0.0, "sin", Series(_alt(1, True), np.inf),
                     deriv=_cyclic_deriv([np.sin, np.cos, lambda z: -np.sin(z),
-                                         lambda z: -np.cos(z)]),
-                    odd_completed=True),
+                                         lambda z: -np.cos(z)])),
     "cos": ScalarFn(np.cos, 1.0, "cos", Series(_alt(0, True), np.inf),
                     deriv=_cyclic_deriv([np.cos, lambda z: -np.sin(z),
                                          lambda z: -np.cos(z), np.sin])),
     "sinh": ScalarFn(np.sinh, 0.0, "sinh", Series(_alt(1, False), np.inf),
-                     deriv=_cyclic_deriv([np.sinh, np.cosh]), odd_completed=True),
+                     deriv=_cyclic_deriv([np.sinh, np.cosh])),
     "cosh": ScalarFn(np.cosh, 1.0, "cosh", Series(_alt(0, False), np.inf),
                      deriv=_cyclic_deriv([np.cosh, np.sinh])),
     "sqrt": power_fn(0.5),
-    "sign": ScalarFn(_sign_eval, 0.0, "sign", odd_completed=True),
+    "sign": ScalarFn(_sign_eval, 0.0, "sign"),
     "inverse_shift": ScalarFn(_inv_shift, 1.0, "inverse_shift",
                               Series(lambda k: (-1.0) ** k, 1.0),
                               deriv=_inv_shift_deriv,
@@ -290,9 +283,9 @@ def _rebuild_values(c, f):
     return c.rebuild(vals if vals.imag.any() else vals.real)
 
 
-def gfun(a: Tensor3, f: ScalarFn, tol_rank=None) -> Tensor3:
+def gfun(a: Tensor3, f: ScalarFn) -> Tensor3:
     """Generalized tensor function Ur * f(Sr) * Vr^H via the compact T-SVD."""
-    return _rebuild_values(tcsvd(a, tol_rank), f)
+    return _rebuild_values(tcsvd(a), f)
 
 
 def _matrix_series(d, f, face_index):
@@ -385,14 +378,14 @@ def standard_tfn(a: Tensor3, f: ScalarFn, force_series=False) -> Tensor3:
     return from_faces(_matrix_functions(faces, f, force_series), a.p, half)
 
 
-def gpower(a: Tensor3, k: int, tol_rank=None) -> Tensor3:
+def gpower(a: Tensor3, k: int) -> Tensor3:
     """Generalized power: X_0 = E and X_j = X_{j-1} * E^H * A.
 
     Satisfies X_{2j+1} = (A * A^H)^j * A and X_{2j} = (A * A^H)^j * E.
     """
     if k < 0 or k != int(k):
         raise InvalidArgument("generalized power needs a nonnegative integer exponent")
-    e = isometry(tcsvd(a, tol_rank))
+    e = isometry(tcsvd(a))
     eh = conj_transpose(e)
     x = e
     for _ in range(int(k)):
@@ -408,14 +401,13 @@ def _taylor_coeff(f, z0, k):
     return complex(f.deriv(z0, k)) * _inv_factorial(k)
 
 
-def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-12,
-                tol_rank=None) -> Tensor3:
+def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-12) -> Tensor3:
     """Generalized function by Taylor expansion in generalized powers of (A - z0 E).
 
     Valid while every windowed singular value stays inside the disc of
     convergence around z0; must agree with :func:`gfun` to about 10 * tol.
     """
-    c = tcsvd(a, tol_rank)
+    c = tcsvd(a)
     radius = None
     if z0 == 0 and f.series is not None:
         radius = f.series.radius
@@ -442,10 +434,10 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
     return _rebuild_values(c, replace(f, fn=taylor_sum))
 
 
-def named_gfun(a: Tensor3, name, tol_rank=None) -> Tensor3:
+def named_gfun(a: Tensor3, name) -> Tensor3:
     """Generalized function by name, enforcing the positivity preconditions."""
     f = named_scalar_fn(name)
-    c = tcsvd(a, tol_rank)
+    c = tcsvd(a)
     if f.name in POSITIVE_ONLY and np.any(c.sigma <= 0.0):
         raise ZeroSingularValueRequiresFZero(
             f"{f.name} needs strictly positive singular values in the rank window"
@@ -478,28 +470,29 @@ def odd_part(f: ScalarFn) -> ScalarFn:
         x = np.asarray(x, dtype=np.complex128)
         return x * g2(x * x)
 
-    return ScalarFn(ev, 0.0, name=f"{f.name}_odd", odd_completed=True)
+    return ScalarFn(ev, 0.0, name=f"{f.name}_odd")
 
 
-def gfun_series_split(a: Tensor3, f: ScalarFn, tol_rank=None) -> Tensor3:
+def gfun_series_split(a: Tensor3, f: ScalarFn) -> Tensor3:
     """Second route to the generalized function through the even/odd split.
 
     Needs a full rank window whenever the even coefficients do not vanish
     (the even half evaluates at 0 otherwise).
     """
     g1, g2 = even_odd_split(f)
-    c = tcsvd(a, tol_rank)
+    c = tcsvd(a)
     e = isometry(c)
     gram = tprod(a, conj_transpose(a))
-    return tprod(gfun(gram, g1, tol_rank), e) + tprod(gfun(gram, g2, tol_rank), a)
+    return tprod(gfun(gram, g1), e) + tprod(gfun(gram, g2), a)
 
 
-def mixed_block_fn(a: Tensor3, f: ScalarFn, rtol=1e-9) -> Tensor3:
+def mixed_block_fn(a: Tensor3, f: ScalarFn) -> Tensor3:
     """Standard function of [[0, A], [A^H, 0]], cross-checked blockwise.
 
     The result must assemble as [[g1(A A^H), f_odd_gen(A)],
     [f_odd_gen(A)^H, g1(A^H A)]] where g1 carries the even series half;
-    a :class:`ConsistencyError` reports disagreement between the routes.
+    a :class:`ConsistencyError` reports a relative disagreement above 1e-9
+    between the routes.
     """
     g1, _ = even_odd_split(f)
     fo = odd_part(f)
@@ -514,7 +507,7 @@ def mixed_block_fn(a: Tensor3, f: ScalarFn, rtol=1e-9) -> Tensor3:
 
     scale = max(fnorm(full), 1.0)
     residual = fnorm(full - assembled) / scale
-    if residual > rtol:
+    if residual > 1e-9:
         raise ConsistencyError(
             f"blockwise assembly disagrees with the doubled tensor: residual {residual:.3e}"
         )

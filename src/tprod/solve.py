@@ -38,23 +38,23 @@ _CLUSTER_RTOL = 1e-8
 _SHIFT_RTOL = 1e-8
 
 
-def pinv(a: Tensor3, tol_rank=None) -> Tensor3:
+def pinv(a: Tensor3) -> Tensor3:
     """Moore-Penrose inverse: Vr * Sr^+ * Ur^H.
 
     Satisfies the four Penrose identities in the T-product sense.
     """
-    c = tcsvd(a, tol_rank)
+    c = tcsvd(a)
     inv_vals = np.zeros(c.sigma.shape)
     pos = c.sigma > 0.0
     inv_vals[pos] = 1.0 / c.sigma[pos]
     return c.rebuild(inv_vals, adjoint=True)
 
 
-def lstsq(a: Tensor3, b: Tensor3, tol_rank=None) -> Tensor3:
+def lstsq(a: Tensor3, b: Tensor3) -> Tensor3:
     """Minimum-norm least squares solution of A * X = B."""
     if a.m != b.m or a.p != b.p:
         raise DimMismatch(f"lstsq shapes do not conform: {a.shape} vs {b.shape}")
-    return tprod(pinv(a, tol_rank), b)
+    return tprod(pinv(a), b)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SolveResult:
     residual: float
 
 
-def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3, tol_rank=None) -> SolveResult:
+def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3) -> SolveResult:
     """Best-consistent solution of A * X * B = D with its consistency residual.
 
     X = A^+ * D * B^+; the residual |A*X*B - D| / |D| vanishes exactly when
@@ -73,7 +73,7 @@ def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3, tol_rank=None) -> SolveResult:
         raise DimMismatch(
             f"solve shapes do not conform: A {a.shape}, B {b.shape}, D {d.shape}"
         )
-    x = tprod(pinv(a, tol_rank), tprod(d, pinv(b, tol_rank)))
+    x = tprod(pinv(a), tprod(d, pinv(b)))
     dn = fnorm(d)
     residual = 0.0 if dn == 0.0 else fnorm(tprod(a, tprod(x, b)) - d) / dn
     return SolveResult(x=x, residual=residual)
@@ -86,8 +86,8 @@ class Resolvent:
     csvd: TCsvd
 
     @classmethod
-    def of(cls, a: Tensor3, tol_rank=None):
-        return cls(tcsvd(a, tol_rank))
+    def of(cls, a: Tensor3):
+        return cls(tcsvd(a))
 
     @property
     def E(self) -> Tensor3:
@@ -145,10 +145,10 @@ class Contour:
                     raise InvalidContour("contour circles must be pairwise disjoint")
 
 
-def _cluster(values, rtol=_CLUSTER_RTOL):
-    """Ascending cluster centres: sorted values split where a step exceeds rtol * max."""
+def _cluster(values):
+    """Ascending cluster centres: sorted values split where a step exceeds _CLUSTER_RTOL * max."""
     vals = np.sort(np.asarray(values, dtype=float))
-    breaks = np.flatnonzero(np.diff(vals) > rtol * vals[-1]) + 1
+    breaks = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * vals[-1]) + 1
     return np.array([g.mean() for g in np.split(vals, breaks)])
 
 

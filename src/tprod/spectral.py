@@ -200,14 +200,13 @@ class TCsvd:
         return from_faces((uf * vals) @ vhf, self.p, half)
 
 
-def tcsvd(a: Tensor3, tol_rank=None) -> TCsvd:
-    """Compact T-SVD; ``tol_rank`` is relative to the largest face singular value."""
+def tcsvd(a: Tensor3) -> TCsvd:
+    """Compact T-SVD, cut at :func:`default_rank_rtol` times the largest face singular value."""
     uf, s, vhf, half = _face_svd(a, full_matrices=False)
     m, n, p = a.m, a.n, a.p
     if half:
         s = mirror(s, p)
-    rtol = default_rank_rtol(m, n, p) if tol_rank is None else float(tol_rank)
-    cutoff = rtol * float(s.max())
+    cutoff = default_rank_rtol(m, n, p) * float(s.max())
     ranks = tuple((s > cutoff).sum(axis=1).tolist())
     r = max(ranks)
     sigma = s[:, :r].copy()
@@ -226,12 +225,12 @@ def tcsvd(a: Tensor3, tol_rank=None) -> TCsvd:
     )
 
 
-def t_eigenvalues(a: Tensor3, tol_rank=None) -> np.ndarray:
+def t_eigenvalues(a: Tensor3) -> np.ndarray:
     """Squared positive singular values over all faces, descending.
 
     Equals the positive spectrum of bcirc(A * A^H).
     """
-    c = tcsvd(a, tol_rank)
+    c = tcsvd(a)
     vals = c.sigma[c.sigma > 0.0]
     return np.sort(vals**2)[::-1]
 

@@ -469,12 +469,20 @@ def test_polynomial_fn(rng):
 
 def test_power_fn_metadata():
     f = power_fn(3)
-    assert f.odd_completed and f.value_at_zero == 0
+    assert f.value_at_zero == 0
     g = power_fn(-1)
     assert g.value_at_zero == np.inf
     h = power_fn(0)
     assert h.value_at_zero == 1.0
 
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, "1e400"])
+def test_power_fn_refuses_non_finite_exponent(alpha):
+    with pytest.raises(FnDomainError, match="finite"):
+        power_fn(alpha)
+    with pytest.raises(FnDomainError, match="finite"):
+        named_scalar_fn(f"power({alpha})")
 
 @pytest.mark.parametrize("name", ["exp", "ln1p", "sin", "cos", "sinh", "cosh",
                                   "inverse_shift"])
@@ -489,7 +497,6 @@ def test_named_series_match_eval(name):
 @pytest.mark.parametrize("name", ["sin", "sinh", "sign", "cube"])
 def test_odd_completed_functions(name):
     f = named_scalar_fn(name)
-    assert f.odd_completed
     assert f.value_at_zero == 0
     xs = np.array([0.3, 1.2, 2.7])
     lhs = np.asarray(f(-xs), dtype=np.complex128)

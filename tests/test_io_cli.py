@@ -509,6 +509,46 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, rng, argv):
     assert not (tmp_path / "out.tt3a").exists()
 
 
+
+@pytest.mark.parametrize("flags", [
+    ["--fn", "power(nan)"],
+    ["--fn", "power(inf)"],
+    ["--fn", "power(1e400)"],
+    ["--fn", "square", "--standard", "--method", "series", "--z0", "5"],
+    ["--fn", "square", "--method", "spectral", "--z0", "0.5"],
+    ["--fn", "square", "--method", "contour", "--z0", "0.5"],
+    ["--fn", "square", "--method", "spectral", "--nodes", "3", "--z0", "9"],
+    ["--fn", "square", "--standard", "--method", "series", "--nodes", "64"],
+], ids=["power-nan", "power-inf", "power-overflow", "z0-standard", "z0-spectral",
+        "z0-contour", "nodes-spectral", "nodes-series"])
+def test_cli_apply_refuses_what_its_route_cannot_use(tmp_path, capsys, flags):
+    # a non-finite exponent, or a flag the chosen route would silently drop
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(FIXTURES / "tube4.txt"), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ValueError" not in err and "OverflowError" not in err
+    assert not out.exists()
+
+
+def test_cli_apply_passes_z0_and_nodes_to_their_routes(tmp_path, monkeypatch):
+    import tprod.cli
+    from tprod.solve import DEFAULT_NODES
+
+    seen = []
+    real_taylor, real_contour = tprod.cli.gfun_taylor, tprod.cli.gfun_contour
+    monkeypatch.setattr(tprod.cli, "gfun_taylor",
+                        lambda a, f, z0: seen.append(z0) or real_taylor(a, f, z0=z0))
+    monkeypatch.setattr(tprod.cli, "gfun_contour",
+                        lambda a, f, nodes: seen.append(nodes) or real_contour(a, f, nodes=nodes))
+    base = ["apply", str(FIXTURES / "tube4.txt"), "--fn", "square", "--out",
+            str(tmp_path / "out.tt3a")]
+    for extra in (["--method", "series"], ["--method", "series", "--z0", "0.5"],
+                  ["--method", "contour"], ["--method", "contour", "--nodes", "64"]):
+        assert main(base + extra) == 0
+    assert seen == [0.0, 0.5, DEFAULT_NODES, 64]
+
 def test_cli_usage_error(capsys):
     rc = main(["apply", "x.tt3a"])  # missing --fn/--poly and --out
     assert rc == 2

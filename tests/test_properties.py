@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tprod import (
     Tensor3,
     bcirc,
+    bcirc_commutation_check,
     conj_transpose,
     fnorm,
     gfun,
@@ -22,8 +23,10 @@ from tprod import (
     inverse,
     is_unitary,
     named_scalar_fn,
+    phi,
     pinv,
     polynomial,
+    preservation_check,
     random_unitary,
     scalar_fn,
     specnorm,
@@ -33,6 +36,7 @@ from tprod import (
     tsvd,
     zero_slice_check,
 )
+from tprod.structure import ENTRYWISE_CLASSES, FORM_CLASSES, TABLE2_CLASSES
 
 from conftest import dense_gmf, rand_face_ranks
 
@@ -61,11 +65,11 @@ def _real_face_ranks(rng, m, n, ranks):
 
 
 @st.composite
-def tensors(draw, real=None):
+def tensors(draw, real=None, square=False):
     """(tensor, is_real): random entries or a rank-deficient face pattern."""
     p = draw(st.sampled_from(P_VALUES))
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
     real = draw(st.booleans()) if real is None else real
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = min(m, n)
@@ -194,3 +198,53 @@ def test_taylor_route_matches_spectral_route(at, name):
     want = gfun(a, f)
     assert fnorm(out - want) <= 1e-9 * max(fnorm(want), 1.0)
     assert out.exactly_real or not real
+
+
+@PROPERTY
+@given(st.sampled_from(P_VALUES), st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_tprod_is_associative(p, dims, real, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (Tensor3(rng.standard_normal((p, m, n))
+                       + (0.0 if real else 1j * rng.standard_normal((p, m, n))))
+               for m, n in zip(dims, dims[1:]))
+    left = tprod(tprod(a, b), c)
+    right = tprod(a, tprod(b, c))
+    assert fnorm(left - right) <= 1e-12 * max(fnorm(a) * fnorm(b) * fnorm(c), 1.0)
+
+
+@PROPERTY
+@given(tensors(square=True), st.sampled_from(["exp", "sin", "square"]))
+def test_standard_tfn_matches_dense_bcirc_route(at, name):
+    a, _ = at
+    a = (1.5 / max(specnorm(a), 1e-300)) * a
+    assert bcirc_commutation_check(a, name, standard=True) <= 1e-10
+
+
+@PROPERTY
+@given(tensors(real=False, square=True), st.sampled_from(["sin", "sinh", "cube"]))
+def test_gfun_commutes_with_complex_to_real_doubling(at, name):
+    a, _ = at
+    f = named_scalar_fn(name)
+    lhs = phi(gfun(a, f))
+    rhs = gfun(phi(a), f)
+    assert fnorm(lhs - rhs) <= 1e-12 * max(fnorm(lhs), 1.0)
+
+
+CATALOGUE = sorted(set(FORM_CLASSES) | set(ENTRYWISE_CLASSES))
+
+
+def _preserving_fn(name):
+    # groups need f(x) f(1/x) = 1 and doubly F-stochastic f(1) = 1; nonnegative
+    # needs nonnegative odd coefficients; every other class needs an odd f
+    if name in TABLE2_CLASSES or name == "doubly_f_stochastic":
+        return "cube"
+    return "sinh" if name == "nonnegative" else "sin"
+
+
+@PROPERTY
+@given(st.sampled_from(CATALOGUE), st.sampled_from((2, 4)), st.sampled_from(P_VALUES),
+       st.integers(0, 2**16))
+def test_catalogue_class_is_preserved(name, n, p, seed):
+    rep = preservation_check(name, _preserving_fn(name), trials=1, shape=(n, n, p), seed=seed)
+    assert rep.ok, (name, n, p, rep.max_residual)

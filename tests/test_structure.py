@@ -247,6 +247,18 @@ def test_preservation_hypothesis_violations():
         preservation_check("doubly_f_stochastic", named_scalar_fn("sinh"), trials=1)
 
 
+
+def test_preservation_odd_hypothesis_is_sampled():
+    # f(0) = 0 but even, so only the sampled f(-x) = -f(x) test refuses it
+    with pytest.raises(HypothesisViolation, match="sampled oddness"):
+        preservation_check("symmetric", named_scalar_fn("square"), trials=1)
+
+
+def test_preservation_check_without_trials_is_vacuous():
+    rep = preservation_check("symmetric", SIN, trials=0)
+    assert (rep.trials, rep.residuals, rep.max_residual) == (0, (), 0.0)
+    assert rep.ok
+
 def test_nonnegative_preservation_sinh(rng):
     a = random_member("nonnegative", (3, 5, 2), seed=6)
     a = (0.8 / max(fnorm(a), 1.0)) * a
