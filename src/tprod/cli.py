@@ -14,7 +14,7 @@ from .algebra import tprod
 from .core import conj_transpose, fnorm
 from .errors import FnDomainError, InvalidArgument, TprodError
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
-from .solve import DEFAULT_NODES, gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
+from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
 from .spectral import tcsvd
 from .structure import StructClass, is_member, preservation_check
 
@@ -89,7 +89,7 @@ def cmd_apply(args):
                    else gfun_taylor(a, f, z0=args.z0 or 0.0))
         else:
             contour_fn = standard_fn_contour if args.standard else gfun_contour
-            out = contour_fn(a, f, nodes=DEFAULT_NODES if args.nodes is None else args.nodes)
+            out = contour_fn(a, f, nodes=args.nodes)
         reference = spectral_fn(a, f)
         diff = fnorm(out - reference) / max(fnorm(reference), 1e-300)
         print(f"cross-check vs spectral: {diff:.3e}")

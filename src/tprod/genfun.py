@@ -170,7 +170,10 @@ def _alt(parity_num, parity_den):
 
 def power_fn(alpha) -> ScalarFn:
     """f(x) = x**alpha on the nonnegative axis (principal branch elsewhere)."""
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise FnDomainError(f"power exponent must be a number, got {alpha!r}") from None
     if not np.isfinite(alpha):
         raise FnDomainError(f"power exponent must be finite, got {alpha}")
     if alpha > 0:
@@ -463,14 +466,18 @@ def even_odd_split(f: ScalarFn):
 
 
 def odd_part(f: ScalarFn) -> ScalarFn:
-    """The odd half of f as a function of the singular value itself."""
+    """The odd half of f as a function of the singular value itself.
+
+    It carries the odd terms of f's series, with f's radius.
+    """
     _, g2 = even_odd_split(f)
 
     def ev(x):
         x = np.asarray(x, dtype=np.complex128)
         return x * g2(x * x)
 
-    return ScalarFn(ev, 0.0, name=f"{f.name}_odd")
+    series = Series(lambda k: f.series.coeff(k) if k % 2 else 0.0, f.series.radius)
+    return ScalarFn(ev, 0.0, name=f"{f.name}_odd", series=series)
 
 
 def gfun_series_split(a: Tensor3, f: ScalarFn) -> Tensor3:

@@ -4,7 +4,19 @@ The production paths are spectral (compact T-SVD). The Cauchy-integral
 forms are implemented as independent cross-checks: trapezoidal quadrature
 on circles, which converges geometrically for analytic integrands. The
 resolvent is linear in its values 1/(z - sigma), so the resolvent oracles
-sum the quadrature on the singular values and rebuild once per call.
+sum the quadrature on the singular values, over every node of every circle
+in a few chunked array passes, and rebuild once per call.
+
+An explicit ``nodes=`` (or ``contour=``) is used exactly. Without one, a
+resolvent oracle picks its own node count by halving. One pass over N = 64
+nodes per circle gives S_N and, from its even nodes, S_N/2. The change
+|S_N - S_N/2| / |S_N| estimates the error of S_N/2; the error falls
+geometrically, so it squares when N doubles, and S_N is accepted once that
+estimate squared is at most 1e-14. Otherwise N doubles, reusing the nodes
+summed so far: S_2N is the mean of S_N and the sum over the N nodes turned
+half a step. At ``DEFAULT_NODES`` (256) an estimate still above 1e-6 raises
+:class:`NoConvergence` (CLI exit 3) rather than return a sum the rule cannot
+vouch for (Trefethen & Weideman 2014, below).
 
 The standard-function oracle takes one circle around every face eigenvalue.
 On one circle the N-node trapezoid rule is a DFT of the samples f(z_k), and
@@ -27,12 +39,19 @@ from .errors import (
     EmptyValues,
     InvalidContour,
     NearSingularShift,
+    NoConvergence,
     ZeroSingularValue,
 )
 from .genfun import _require_f_zero
 from .spectral import TCsvd, from_faces, isometry, tcsvd, to_faces
 
 DEFAULT_NODES = 256
+# the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
+_FIRST_NODES = 64
+_ACCEPT = 1e-14
+_REFUSE = 1e-6
+# complex elements per chunk of a nodes x p x r work array
+_CHUNK = 1 << 16
 _CLUSTER_RTOL = 1e-8
 # a shift nearer than this times max(sigma_max, 1) to a singular value is refused
 _SHIFT_RTOL = 1e-8
@@ -128,7 +147,10 @@ def resolvent_identity_residual(r: Resolvent, lam, mu) -> float:
 
 @dataclass(frozen=True)
 class Contour:
-    """Disjoint circles, each enclosing exactly one cluster of target values."""
+    """Disjoint circles, each enclosing exactly one cluster of target values.
+
+    ``centers`` and ``radii`` hold the circles as arrays.
+    """
 
     circles: tuple
     nodes_per_circle: int
@@ -136,24 +158,37 @@ class Contour:
     def __post_init__(self):
         if self.nodes_per_circle < 16:
             raise InvalidContour("need at least 16 quadrature nodes per circle")
-        for _, rad in self.circles:
-            if rad <= 0:
-                raise InvalidContour("circle radii must be positive")
-        for i, (ci, ri) in enumerate(self.circles):
-            for cj, rj in self.circles[i + 1:]:
-                if abs(ci - cj) <= ri + rj:
-                    raise InvalidContour("contour circles must be pairwise disjoint")
+        c = np.array([z for z, _ in self.circles], dtype=np.complex128)
+        r = np.array([rad for _, rad in self.circles], dtype=float)
+        if not (r > 0).all():
+            raise InvalidContour("circle radii must be positive")
+        # each circle may meet only itself; row blocks bound the pairwise array
+        step = max(1, _CHUNK // max(c.size, 1))
+        for i in range(0, c.size, step):
+            rows = slice(i, i + step)
+            if (np.abs(c[rows, None] - c) <= r[rows, None] + r).sum() > r[rows].size:
+                raise InvalidContour("contour circles must be pairwise disjoint")
+        # the circles as arrays, read by the quadrature
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "radii", r)
 
 
 def _cluster(values):
     """Ascending cluster centres: sorted values split where a step exceeds _CLUSTER_RTOL * max."""
     vals = np.sort(np.asarray(values, dtype=float))
-    breaks = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * vals[-1]) + 1
-    return np.array([g.mean() for g in np.split(vals, breaks)])
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > _CLUSTER_RTOL * vals[-1])
+    return np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
 
 
-def contour_for(values, nodes=DEFAULT_NODES) -> Contour:
-    """One circle per cluster: radius = min(0.45 * gap to nearest, 0.5 * value)."""
+def _node_count(nodes):
+    return int(DEFAULT_NODES if nodes is None else nodes)
+
+
+def contour_for(values, nodes=None) -> Contour:
+    """One circle per cluster: radius = min(0.45 * gap to nearest, 0.5 * value).
+
+    ``nodes`` per circle, ``DEFAULT_NODES`` when None.
+    """
     values = np.asarray(values, dtype=float).ravel()
     values = values[values > 0]
     if not values.size:
@@ -163,51 +198,93 @@ def contour_for(values, nodes=DEFAULT_NODES) -> Contour:
     gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
     radii = np.minimum(0.45 * gaps, 0.5 * centers)
     circles = tuple(zip(map(complex, centers.tolist()), radii.tolist()))
-    return Contour(circles=circles, nodes_per_circle=int(nodes))
+    return Contour(circles=circles, nodes_per_circle=_node_count(nodes))
 
 
 def _check_encloses(contour, values):
     """Every value must lie strictly inside some circle, or it drops out of the integral."""
-    centers = np.array([c for c, _ in contour.circles])
-    radii = np.array([r for _, r in contour.circles])
     values = np.asarray(values).ravel()
-    missed = values[~(np.abs(values[:, None] - centers) < radii).any(axis=1)]
+    missed = values[~(np.abs(values[:, None] - contour.centers) < contour.radii).any(axis=1)]
     if missed.size:
         raise InvalidContour(f"contour leaves {missed[0]:.6g} unenclosed")
 
 
+def _nodes(contour, k, shift=0.0):
+    """(circles, k) node and weight arrays (z, w): (1/2 pi i) . oint g dz ~ sum g(z) w.
+
+    ``shift`` turns every node by that fraction of a step.
+    """
+    th = 2.0 * np.pi * (np.arange(k) + shift) / k
+    z = contour.centers[:, None] + contour.radii[:, None] * np.exp(1j * th)
+    return z, (z - contour.centers[:, None]) / k
+
+
 def _quad_nodes(contour):
-    """Per circle, node and weight arrays (z, w): (1/2 pi i) . oint g dz ~ sum g(z) w."""
-    k = contour.nodes_per_circle
-    th = 2.0 * np.pi * np.arange(k) / k
-    for center, rad in contour.circles:
-        z = center + rad * np.exp(1j * th)
-        yield z, (z - center) / k
+    """Per circle, node and weight arrays (z, w) of the contour's own rule."""
+    return zip(*_nodes(contour, contour.nodes_per_circle))
 
 
-def _contour_sum(res: Resolvent, contour, coef) -> Tensor3:
+def _node_sum(c: TCsvd, contour, coef, k, shift=0.0):
+    """sum coef(z) w / (z - sigma) over k nodes on every circle, on the (p, r) values.
+
+    Returns (2, p, r): the shares of the even and the odd nodes, so for even
+    k the even share is the k/2-node rule at half weight. The nodes of all
+    circles go through in chunks of about _CHUNK work elements
+    (nodes x p x r), and every node keeps the :func:`resolvent_eval` guard.
+    """
+    z, w = (x.ravel() for x in _nodes(contour, k, shift))
+    cw = np.broadcast_to(coef(z) * w, z.shape)
+    parity = np.arange(2)[:, None] == np.arange(z.size) % 2
+    vals = np.zeros((2, c.sigma.size), dtype=np.complex128)
+    step = max(1, _CHUNK // c.sigma.size)
+    for i in range(0, z.size, step):
+        part = slice(i, i + step)
+        inv = (1.0 / _shifted(c, z[part])).reshape(-1, c.sigma.size)
+        vals += (parity[:, part] * cw[part]) @ inv
+    return vals.reshape(2, *c.sigma.shape)
+
+
+def _contour_sum(res: Resolvent, contour, coef, choose_nodes=False) -> Tensor3:
     """(1/2 pi i) oint coef(z) (z E - A)^+ dz, summed on the singular values.
 
     Every node term is ``rebuild(1 / (z - sigma), adjoint=True)`` and
     ``rebuild`` is linear in its values, so the terms add up on the (p, r)
-    values and the sum is rebuilt once. One circle at a time keeps the work
-    array at nodes x p x r. Each node keeps the :func:`resolvent_eval` guard.
+    values and the sum is rebuilt once. With ``choose_nodes`` the node count
+    is chosen by halving (module docstring) instead of taken from the contour.
     """
     c = res.csvd
-    vals = np.zeros(c.sigma.shape, dtype=np.complex128)
-    for z, w in _quad_nodes(contour):
-        vals += ((coef(z) * w)[:, None, None] / _shifted(c, z)).sum(axis=0)
+    if not choose_nodes:
+        return c.rebuild(_node_sum(c, contour, coef, contour.nodes_per_circle).sum(axis=0),
+                         adjoint=True)
+    k = _FIRST_NODES
+    even, odd = _node_sum(c, contour, coef, k)
+    coarse, vals = 2.0 * even, even + odd
+    while True:
+        # |S_k - S_k/2| / |S_k| estimates the error of S_k/2, and its square that of S_k
+        gap, scale = np.linalg.norm(vals - coarse), np.linalg.norm(vals)
+        if gap * gap <= _ACCEPT * scale * scale:
+            break
+        if k >= DEFAULT_NODES:
+            if not gap <= _REFUSE * scale:
+                raise NoConvergence(
+                    f"contour quadrature did not settle within {k} nodes per circle "
+                    f"(estimated relative error {gap / scale if scale else np.inf:.1e})")
+            break
+        # the 2k-node rule: the k nodes summed so far and the k nodes half a step on
+        coarse, vals = vals, 0.5 * (vals + _node_sum(c, contour, coef, k, shift=0.5).sum(axis=0))
+        k *= 2
     return c.rebuild(vals, adjoint=True)
 
 
-def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
+def gfun_contour(a: Tensor3, f, nodes=None, contour=None) -> Tensor3:
     """Cauchy-integral route to the generalized function.
 
     f_gen(A) = E * ((1/2 pi i) oint f(z) (z E - A)^+ dz) * E, quadratured on
     circles around the distinct singular values. Cross-check oracle for
-    :func:`tprod.genfun.gfun`; not the production path. An explicit
-    ``contour`` must enclose every positive windowed singular value, else
-    :class:`InvalidContour`.
+    :func:`tprod.genfun.gfun`; not the production path. Without ``nodes`` or
+    ``contour`` the node count is chosen by halving (module docstring). An
+    explicit ``contour`` must enclose every positive windowed singular value,
+    else :class:`InvalidContour`.
     """
     res = Resolvent.of(a)
     c = res.csvd
@@ -216,7 +293,7 @@ def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
     _require_f_zero(c, f)
     positive = c.sigma[c.sigma > 0.0]
     if contour is None:
-        acc = _contour_sum(res, contour_for(positive, nodes), f)
+        acc = _contour_sum(res, contour_for(positive, nodes), f, nodes is None)
     else:
         acc = _contour_sum(res, contour, f)
         # checked after the sum, so a value on the contour is reported by the node guard
@@ -225,22 +302,22 @@ def gfun_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None) -> Tensor3:
     return tprod(e, tprod(acc, e))
 
 
-def cluster_projector_contour(a: Tensor3, target, nodes=DEFAULT_NODES) -> Tensor3:
+def cluster_projector_contour(a: Tensor3, target, nodes=None) -> Tensor3:
     """E * ((1/2 pi i) oint (z E - A)^+ dz) * E around one singular-value cluster.
 
     Equals the sum of that cluster's partial-isometry components.
     """
     res = Resolvent.of(a)
     target = float(target)
-    circles = contour_for(res.csvd.sigma, nodes).circles
-    circle = min(circles, key=lambda cr: abs(cr[0].real - target))
-    sub = Contour(circles=(circle,), nodes_per_circle=nodes)
-    acc = _contour_sum(res, sub, lambda z: 1.0)
+    full = contour_for(res.csvd.sigma, nodes)
+    circle = min(full.circles, key=lambda cr: abs(cr[0].real - target))
+    sub = Contour(circles=(circle,), nodes_per_circle=full.nodes_per_circle)
+    acc = _contour_sum(res, sub, lambda z: 1.0, nodes is None)
     e = res.E
     return tprod(e, tprod(acc, e))
 
 
-def pinv_contour(a: Tensor3, nodes=DEFAULT_NODES) -> Tensor3:
+def pinv_contour(a: Tensor3, nodes=None) -> Tensor3:
     """A^+ = (1/2 pi i) oint z^-1 (z E - A)^+ dz; needs all windowed values > 0."""
     res = Resolvent.of(a)
     c = res.csvd
@@ -248,10 +325,10 @@ def pinv_contour(a: Tensor3, nodes=DEFAULT_NODES) -> Tensor3:
         return Tensor3.zeros(a.n, a.m, a.p)
     if np.any(c.sigma <= 0.0):
         raise ZeroSingularValue("contour pseudoinverse needs a full rank window")
-    return _contour_sum(res, contour_for(c.sigma, nodes), lambda z: 1.0 / z)
+    return _contour_sum(res, contour_for(c.sigma, nodes), lambda z: 1.0 / z, nodes is None)
 
 
-def solve_axb_contour(a: Tensor3, b: Tensor3, d: Tensor3, nodes=DEFAULT_NODES) -> Tensor3:
+def solve_axb_contour(a: Tensor3, b: Tensor3, d: Tensor3, nodes=None) -> Tensor3:
     """Double-contour route to A * X * B = D.
 
     The integrand separates in lambda and mu, so the double circle
@@ -260,12 +337,13 @@ def solve_axb_contour(a: Tensor3, b: Tensor3, d: Tensor3, nodes=DEFAULT_NODES) -
     return tprod(pinv_contour(a, nodes), tprod(d, pinv_contour(b, nodes)))
 
 
-def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None):
+def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     """Standard T-function via f(A) = (1/2 pi i) oint f(z) (z I - A)^-1 dz.
 
     The contour is one circle, centre c and radius r, that encloses every
     face eigenvalue; any other contour raises :class:`InvalidContour`. With
-    ``b`` given the action f(A) * b is returned instead of f(A).
+    ``b`` given the action f(A) * b is returned instead of f(A). Without
+    ``nodes`` the rule has ``DEFAULT_NODES`` nodes.
 
     The N-node trapezoid sum is evaluated as one DFT rather than N shifted
     solves. On a face D, with B = (D - cI)/r and z_k = c + r w^k
@@ -293,7 +371,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=DEFAULT_NODES, contour=None, b=None
         center = complex(eigs.mean())
         spread = float(np.abs(eigs - center).max())
         radius = 1.3 * spread + 0.1 * max(spread, 1.0)
-        contour = Contour(circles=((center, radius),), nodes_per_circle=int(nodes))
+        contour = Contour(circles=((center, radius),), nodes_per_circle=_node_count(nodes))
     scale = max(float(np.abs(eigs).max()), 1.0)
     for center, rad in contour.circles:
         margin = np.abs(np.abs(eigs - center) - rad).min()

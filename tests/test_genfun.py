@@ -484,6 +484,12 @@ def test_power_fn_refuses_non_finite_exponent(alpha):
     with pytest.raises(FnDomainError, match="finite"):
         named_scalar_fn(f"power({alpha})")
 
+
+@pytest.mark.parametrize("alpha", ["abc", None, [1.0]])
+def test_power_fn_refuses_a_non_number(alpha):
+    with pytest.raises(FnDomainError, match="must be a number"):
+        power_fn(alpha)
+
 @pytest.mark.parametrize("name", ["exp", "ln1p", "sin", "cos", "sinh", "cosh",
                                   "inverse_shift"])
 def test_named_series_match_eval(name):

@@ -261,6 +261,24 @@ def test_cli_apply_failed_cross_check_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nodes", [[], ["--nodes", "256"]], ids=["default", "explicit"])
+def test_cli_apply_contour_refuses_an_unsettled_quadrature(tmp_path, capsys, nodes):
+    # exp on the circle around 60 outgrows the result: with --nodes unset the
+    # library's halving estimate refuses it before any cross-check; with 256
+    # given, the sum is returned and the cross-check (3.5e-5) refuses it
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, Tensor3(np.diag([60.0, 1.0])[None]))
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(src), "--fn", "exp", "--method", "contour", *nodes,
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ("did not settle" in captured.err) == (not nodes)
+    assert ("cross-check vs spectral: " in captured.out) == bool(nodes)
+    assert not out.exists()
+
+
 def test_cli_apply_poly(tmp_path, rng):
     a = rand3(rng, 2, 2, 2)
     src = tmp_path / "a.tt3a"
@@ -534,7 +552,6 @@ def test_cli_apply_refuses_what_its_route_cannot_use(tmp_path, capsys, flags):
 
 def test_cli_apply_passes_z0_and_nodes_to_their_routes(tmp_path, monkeypatch):
     import tprod.cli
-    from tprod.solve import DEFAULT_NODES
 
     seen = []
     real_taylor, real_contour = tprod.cli.gfun_taylor, tprod.cli.gfun_contour
@@ -547,7 +564,8 @@ def test_cli_apply_passes_z0_and_nodes_to_their_routes(tmp_path, monkeypatch):
     for extra in (["--method", "series"], ["--method", "series", "--z0", "0.5"],
                   ["--method", "contour"], ["--method", "contour", "--nodes", "64"]):
         assert main(base + extra) == 0
-    assert seen == [0.0, 0.5, DEFAULT_NODES, 64]
+    # an unset --nodes leaves the node count to the library
+    assert seen == [0.0, 0.5, None, 64]
 
 def test_cli_usage_error(capsys):
     rc = main(["apply", "x.tt3a"])  # missing --fn/--poly and --out

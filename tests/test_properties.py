@@ -18,6 +18,7 @@ from tprod import (
     conj_transpose,
     fnorm,
     gfun,
+    gfun_contour,
     gfun_taylor,
     identity,
     inverse,
@@ -25,6 +26,7 @@ from tprod import (
     named_scalar_fn,
     phi,
     pinv,
+    pinv_contour,
     polynomial,
     preservation_check,
     random_unitary,
@@ -248,3 +250,16 @@ def _preserving_fn(name):
 def test_catalogue_class_is_preserved(name, n, p, seed):
     rep = preservation_check(name, _preserving_fn(name), trials=1, shape=(n, n, p), seed=seed)
     assert rep.ok, (name, n, p, rep.max_residual)
+
+
+@PROPERTY
+@given(tensors(), st.sampled_from(["square", "sin"]))
+def test_default_contour_oracles_match_spectral_routes(at, name):
+    # the node count is the oracles' own choice
+    a, _ = at
+    f = named_scalar_fn(name)
+    want = gfun(a, f)
+    assert fnorm(gfun_contour(a, f) - want) <= 1e-10 * max(fnorm(want), 1e-300)
+    if (tcsvd(a).sigma > 0.0).all():
+        want = pinv(a)
+        assert fnorm(pinv_contour(a) - want) <= 1e-10 * max(fnorm(want), 1e-300)

@@ -42,11 +42,13 @@ from tprod.errors import (
     EmptyValues,
     InvalidContour,
     NearSingularShift,
+    NoConvergence,
     ZeroSingularValue,
     ZeroSingularValueRequiresFZero,
 )
 
-from tprod.solve import _quad_nodes
+from tprod import solve
+from tprod.solve import DEFAULT_NODES, _quad_nodes
 
 from conftest import rand3, rand_face_ranks, rand_low_rank
 
@@ -492,3 +494,106 @@ def test_standard_fn_contour_action_shape_checked(rng):
     for b in (rand3(rng, 2, 1, 2), rand3(rng, 3, 1, 3)):
         with pytest.raises(DimMismatch):
             standard_fn_contour(a, exp, b=b)
+
+
+def _chosen_nodes(monkeypatch):
+    """Spy on the quadrature passes: the returned callable gives the node count
+    the passes since its last call reached (the first pass's count, doubled by
+    each pass after it) and starts a new record."""
+    passes = []
+    real = solve._node_sum
+
+    def spy(c, contour, coef, k, shift=0.0):
+        passes.append(k)
+        return real(c, contour, coef, k, shift)
+
+    def reached():
+        k = passes[0] * 2 ** (len(passes) - 1)
+        passes.clear()
+        return k
+
+    monkeypatch.setattr(solve, "_node_sum", spy)
+    return reached
+
+
+def _oracles(a):
+    """The three resolvent oracles on a, as callables of the node count (None: default)."""
+    top = float(tcsvd(a).sigma.max())
+    return {
+        "square": lambda nodes=None: gfun_contour(a, SQ, nodes=nodes),
+        "pinv": lambda nodes=None: pinv_contour(a, nodes=nodes),
+        "projector": lambda nodes=None: cluster_projector_contour(a, top, nodes=nodes),
+    }
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (4, 4, 8)])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_default_nodes_settle_at_64_on_scaled_input(rng, monkeypatch, shape, cplx):
+    m, n, p = shape
+    a = rand3(rng, m, n, p, cplx)
+    a = (np.sqrt(min(m, n)) / fnorm(a)) * a
+    chosen = _chosen_nodes(monkeypatch)
+    for name, oracle in _oracles(a).items():
+        out = oracle()
+        assert chosen() == 64, name
+        want = oracle(64)
+        assert chosen() == 64, name
+        assert fnorm(out - want) <= 1e-13 * fnorm(want), name
+
+
+def _diag(top):
+    return Tensor3(np.diag([top, 1.0])[None])
+
+
+def test_default_nodes_double_to_128_on_a_wider_spread(monkeypatch):
+    a = _diag(30.0)
+    exp = named_scalar_fn("exp")
+    chosen = _chosen_nodes(monkeypatch)
+    out = gfun_contour(a, exp)
+    assert chosen() == 128
+    want = gfun_contour(a, exp, nodes=128)
+    # both sum the same nodes in another order, and exp on the circle around 30
+    # (radius 13.05) reaches e^43.05, 4.6e5 times |exp(A)|: agreement to 1e-13
+    # holds relative to that largest term, not to the cancelled result
+    assert fnorm(out - want) <= 1e-13 * np.exp(30.0 + 0.45 * 29.0)
+    assert fnorm(out - gfun(a, exp)) <= 1e-9 * fnorm(want)
+
+
+@pytest.mark.parametrize("top", [60.0, 200.0])
+def test_default_nodes_refuse_what_256_cannot_resolve(monkeypatch, top):
+    # exp on the circle around top reaches e^(1.45 top): 256 nodes leave 3.5e-5 at 60
+    a = _diag(top)
+    exp = named_scalar_fn("exp")
+    chosen = _chosen_nodes(monkeypatch)
+    with pytest.raises(NoConvergence, match="256 nodes"):
+        gfun_contour(a, exp)
+    assert chosen() == DEFAULT_NODES
+    # an explicit node count is honoured, however poor the result
+    out = gfun_contour(a, exp, nodes=256)
+    assert fnorm(out - gfun(a, exp)) > 1e-6 * fnorm(gfun(a, exp))
+
+
+def test_explicit_nodes_skip_the_estimate(rng, monkeypatch):
+    a = rand3(rng, 3, 3, 4)
+    chosen = _chosen_nodes(monkeypatch)
+    gfun_contour(a, SQ, nodes=100)
+    assert chosen() == 100
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_chunked_passes_match_one_pass_and_guard_every_chunk(rng, monkeypatch, chunk):
+    # 3x3x4 has 12 values, so these chunks hold 1, 1 and 8 nodes
+    a = rand3(rng, 3, 3, 4, cplx=True)
+    want = {name: oracle() for name, oracle in _oracles(a).items()}
+    monkeypatch.setattr(solve, "_CHUNK", chunk)
+    for name, oracle in _oracles(a).items():
+        assert fnorm(oracle() - want[name]) <= 1e-13 * fnorm(want[name]), name
+    # a pair that overlaps only past the first row block
+    with pytest.raises(InvalidContour):
+        Contour(circles=((0j, 1.0), (5 + 0j, 1.0), (6 + 0j, 1.0)), nodes_per_circle=64)
+    # the value sits on node nodes/2 of the second circle, past the first chunk
+    smax = float(tcsvd(a).sigma.max())
+    rad = 0.25 * smax
+    circles = ((complex(-2.0 * smax), rad), (complex(smax + rad), rad))
+    with pytest.raises(NearSingularShift):
+        gfun_contour(a, SQ, contour=Contour(circles=circles, nodes_per_circle=64))

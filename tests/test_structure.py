@@ -21,6 +21,7 @@ from tprod import (
     make_skew_hamiltonian,
     membership_residual,
     named_scalar_fn,
+    odd_part,
     phi,
     phi_inv,
     polynomial,
@@ -29,10 +30,17 @@ from tprod import (
     random_member,
     random_unitary,
     scalar_fn,
+    specnorm,
     tprod,
     zero_slice_check,
 )
-from tprod.errors import BadPermutation, DimMismatch, HypothesisViolation, UnsupportedClass
+from tprod.errors import (
+    BadPermutation,
+    DimMismatch,
+    HypothesisViolation,
+    RadiusViolation,
+    UnsupportedClass,
+)
 from tprod.structure import ENTRYWISE_CLASSES, FORM_CLASSES, TABLE1_CLASSES, TABLE2_CLASSES
 
 from conftest import rand3
@@ -252,6 +260,24 @@ def test_preservation_odd_hypothesis_is_sampled():
     # f(0) = 0 but even, so only the sampled f(-x) = -f(x) test refuses it
     with pytest.raises(HypothesisViolation, match="sampled oddness"):
         preservation_check("symmetric", named_scalar_fn("square"), trials=1)
+
+
+@pytest.mark.parametrize("name", ["ln1p", "inverse_shift"])
+def test_oddness_is_sampled_inside_the_series_radius(name):
+    # the odd half of a radius-1 series is odd: sampling passes, and a member
+    # whose singular values leave the radius is refused for the radius
+    f = odd_part(named_scalar_fn(name))
+    with pytest.raises(RadiusViolation, match="radius 1"):
+        preservation_check("symmetric", f, trials=1)
+    member = random_member("symmetric", (4, 4, 3), seed=0)
+    a = (0.5 / specnorm(member)) * member
+    assert is_member(gfun(a, f), "symmetric", tol=1e-8)[0]
+
+
+def test_oddness_sampling_inside_the_radius_still_refuses_an_even_part():
+    # ln1p has f(0) = 0 but is not odd: inside its radius it fails for its values
+    with pytest.raises(HypothesisViolation, match="sampled oddness"):
+        preservation_check("symmetric", named_scalar_fn("ln1p"), trials=1)
 
 
 def test_preservation_check_without_trials_is_vacuous():
