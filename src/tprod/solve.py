@@ -43,15 +43,13 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _require_f_zero
-from .spectral import TCsvd, from_faces, isometry, tcsvd, to_faces
+from .spectral import _CHUNK, TCsvd, from_faces, isometry, tcsvd, to_faces
 
 DEFAULT_NODES = 256
 # the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
 _FIRST_NODES = 64
 _ACCEPT = 1e-14
 _REFUSE = 1e-6
-# complex elements per chunk of a nodes x p x r work array
-_CHUNK = 1 << 16
 _CLUSTER_RTOL = 1e-8
 # a shift nearer than this times max(sigma_max, 1) to a singular value is refused
 _SHIFT_RTOL = 1e-8

@@ -28,6 +28,9 @@ from .core import Tensor3
 from .errors import NonFinite
 
 _EPS = float(np.finfo(np.float64).eps)
+# complex elements per chunk of a batched work array (quadrature nodes x
+# values, or a slice of the face stack), so peak memory stays flat in p
+_CHUNK = 1 << 16
 
 
 def default_rank_rtol(m, n, p):

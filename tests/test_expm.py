@@ -1,0 +1,105 @@
+"""The standard T-function of exp: batched [13/13] Pade scaling and squaring.
+
+References are scipy's expm of bcirc(A), which shares no code with the
+library. The defective faces below are triangular, where scipy's expm is
+accurate to about 1e-14 against 50-digit arithmetic.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from tprod import Tensor3, bcirc, fnorm, named_scalar_fn, standard_tfn
+from tprod import genfun
+from tprod.algebra import first_slice
+from tprod.cli import main
+from tprod.errors import DefectiveFace, FnDomainError
+from tprod.io import read_tensor, write_tensor
+
+from conftest import rand3
+
+EXP = named_scalar_fn("exp")
+
+
+def _jordan4(lam, spread=0.0):
+    """4x4 face: lam + spread * k on the diagonal and 1 on the superdiagonal.
+
+    spread 0 is a Jordan block; 1e-2 and 1e-3 give eigenvector matrices of
+    condition 1.5e6 and 1.5e9, on either side of the eigendecomposition
+    guard.
+    """
+    return np.diag(lam + spread * np.arange(4.0)) + np.diag(np.ones(3), 1)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-2, 1e-3])
+@pytest.mark.parametrize("lam", [-10.0, -20.0, -30.0])
+@pytest.mark.parametrize("p", [1, 4])
+def test_defective_and_near_defective_faces(p, lam, spread):
+    a = first_slice(_jordan4(lam, spread), p)
+    assert _rel(bcirc(standard_tfn(a, EXP)), scipy.linalg.expm(bcirc(a))) <= 1e-12
+    if spread == 0.0:
+        # exp's route leaves the guard of every other function in place
+        with pytest.raises(DefectiveFace):
+            standard_tfn(a, named_scalar_fn("sign"))
+
+
+def test_strongly_non_normal_face():
+    # ||D||_1 = 1e10 asks for 31 squarings, which cost the diagonal 5e-7;
+    # ||D^4||^(1/4) asks for 7. exp(D) = e [[1, 1e10], [0, 1]]
+    got = standard_tfn(Tensor3(np.array([[[1.0, 1e10], [0.0, 1.0]]])), EXP).data[0]
+    want = np.e * np.array([[1.0, 1e10], [0.0, 1.0]])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert abs(got[0, 0] - np.e) <= 1e-14 * np.e
+
+
+def test_cli_writes_the_exponential_of_a_jordan_face(tmp_path):
+    a = first_slice(_jordan4(-20.0), 4)
+    src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"
+    write_tensor(src, a)
+    assert main(["apply", str(src), "--fn", "exp", "--standard", "--out", str(out)]) == 0
+    assert _rel(bcirc(read_tensor(out)), scipy.linalg.expm(bcirc(a))) <= 1e-12
+
+
+def _overflow_on_face_1():
+    faces = [np.eye(2), np.diag([800.0, 1.0]), np.ones((2, 2)), np.diag([1.0, 800.0])]
+    return Tensor3(np.fft.ifft(np.array(faces, dtype=np.complex128), axis=0))
+
+
+@pytest.mark.parametrize("make, face", [
+    (lambda: first_slice(np.diag([800.0, 1.0]), 2), 0),
+    (_overflow_on_face_1, 1),
+])
+@pytest.mark.parametrize("chunk_faces", [1, 4])
+def test_overflow_names_the_lowest_face_without_warnings(monkeypatch, make, face,
+                                                         chunk_faces):
+    monkeypatch.setattr(genfun, "_CHUNK", 4 * chunk_faces)
+    a = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FnDomainError, match=f"exp not finite on face {face}$"):
+            standard_tfn(a, EXP)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_chunk_budgets_agree(rng, monkeypatch, cplx):
+    # faces of 1-norm 22 to 49 take 2 or 3 squarings each; real input runs
+    # on the 5 faces of the half spectrum
+    a = 3.0 * rand3(rng, 3, 3, 8, cplx=cplx)
+    h = 8 if cplx else 5
+    kernel, sizes = genfun._expm_chunk, []
+    monkeypatch.setattr(genfun, "_expm_chunk", lambda d: sizes.append(len(d)) or kernel(d))
+    whole = standard_tfn(a, EXP)
+    assert sizes == [h]
+    for faces in (1, 3):
+        sizes.clear()
+        monkeypatch.setattr(genfun, "_CHUNK", 9 * faces)
+        out = standard_tfn(a, EXP)
+        assert sizes == [min(faces, h - i) for i in range(0, h, faces)]
+        assert fnorm(out - whole) <= 1e-14 * fnorm(whole)
+        assert out.exactly_real == (not cplx)
