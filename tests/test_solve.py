@@ -582,7 +582,7 @@ def test_explicit_nodes_skip_the_estimate(rng, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_chunked_passes_match_one_pass_and_guard_every_chunk(rng, monkeypatch, chunk):
-    # 3x3x4 has 12 values, so these chunks hold 1, 1 and 8 nodes
+    # every circle has at least 64 nodes, so these chunks hold one value each
     a = rand3(rng, 3, 3, 4, cplx=True)
     want = {name: oracle() for name, oracle in _oracles(a).items()}
     monkeypatch.setattr(solve, "_CHUNK", chunk)
@@ -597,3 +597,119 @@ def test_chunked_passes_match_one_pass_and_guard_every_chunk(rng, monkeypatch, c
     circles = ((complex(-2.0 * smax), rad), (complex(smax + rad), rad))
     with pytest.raises(NearSingularShift):
         gfun_contour(a, SQ, contour=Contour(circles=circles, nodes_per_circle=64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contour_oracles_keep_their_digits_on_scaled_8x8x64(seed):
+    # each value meets only its own circle's nodes, so no other circle's roundoff
+    # reaches it; a sum over every circle reads up to 6.4e-14 here
+    a = Tensor3(np.random.default_rng(seed).standard_normal((64, 8, 8)))
+    a = (np.sqrt(8.0) / fnorm(a)) * a
+    for name in ("square", "exp", "sinh"):
+        f = named_scalar_fn(name)
+        want = gfun(a, f)
+        assert fnorm(gfun_contour(a, f) - want) <= 5e-15 * fnorm(want), name
+    want = pinv(a)
+    assert fnorm(pinv_contour(a) - want) <= 2e-15 * fnorm(want)
+
+
+def _brute_guard(c, z):
+    """The guard's message by a full search over every value, or None."""
+    dist = np.abs(z[:, None] - c.sigma.ravel()).min(axis=1, initial=np.inf)
+    near = dist < solve._SHIFT_RTOL * max(float(c.sigma.max(initial=0.0)), 1.0)
+    if not near.any():
+        return None
+    k = int(near.argmax())
+    return f"shift {z[k]} is within {dist[k]:.3e} of a singular value"
+
+
+def _assert_guard_as_brute(c, z, contour=None, shift=0.0):
+    """The sorted-search guard raises exactly when the full search does, with
+    its message; with a contour, on the pass over its nodes turned by shift."""
+    want = _brute_guard(c, z)
+
+    def call():
+        if contour is None:
+            solve._guard(c, z)
+        else:
+            solve._node_sum(c, contour, SQ, contour.nodes_per_circle, shift)
+
+    if want is None:
+        call()
+        return False
+    with pytest.raises(NearSingularShift) as err:
+        call()
+    assert str(err.value) == want
+    return True
+
+
+def _through(value, rad, angle):
+    """A circle of radius rad whose node at that angle lands on value."""
+    return value - rad * np.exp(1j * angle), rad
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sorted_guard_matches_the_full_search(seed):
+    rng = np.random.default_rng(seed)
+    inputs = [
+        rand_face_ranks(rng, 3, 3, [1, 2, 0, 3]),  # zeros inside the window
+        rand3(rng, 3, 2, 6),  # real: faces k and 6 - k repeat their values
+        Tensor3(np.diag([2.0, 2.0, 1.0, 0.0])[None].repeat(3, axis=0)),  # repeats and a zero
+        rand3(rng, 4, 4, 5, cplx=True),
+    ]
+    raised = 0
+    for a in inputs:
+        c = tcsvd(a)
+        sigma = c.sigma.ravel()
+        # shifts on, beside and between the values, and random ones
+        tol = solve._SHIFT_RTOL * max(sigma.max(), 1.0)
+        eps = tol * np.array([0.0, 0.5, 0.999, 1.001, 3.0])
+        on = sigma[:, None] + eps * np.exp(2j * np.pi * rng.random(eps.size))
+        mid = 0.5 * (np.sort(sigma)[1:] + np.sort(sigma)[:-1]) + 1e-3j
+        z = np.concatenate([on.ravel(), mid, rng.standard_normal(20) + 1j * rng.standard_normal(20)])
+        for part in (z, rng.permutation(z), z[~(np.abs(z[:, None] - sigma) < tol).any(axis=1)]):
+            raised += _assert_guard_as_brute(c, part)
+        # real shifts, as resolvent_eval passes them
+        raised += _assert_guard_as_brute(c, np.concatenate([sigma, sigma + tol]).real)
+        top, low = float(sigma.max()), float(sigma[sigma > 0].min())
+        rad = 0.1 * low
+        contours = [
+            contour_for(sigma, 64),
+            # complex centres, a harmless circle first, then a node on a value
+            Contour((_through(-top + 1j, rad, 0.3), _through(top, rad, 2 * np.pi * 17 / 64)), 64),
+            Contour((_through(low, rad, 2 * np.pi * 31.5 / 64),), 64),  # on the half-step node
+            Contour((_through(0.0, 0.25, 2 * np.pi * 5 / 64),), 64),  # on a zero value
+        ]
+        for contour in contours:
+            z = solve._nodes(contour, 64)[0].ravel()
+            raised += _assert_guard_as_brute(c, z, contour)
+            z = solve._nodes(contour, 64, shift=0.5)[0].ravel()
+            raised += _assert_guard_as_brute(c, z, contour, shift=0.5)
+    # every kind of case above raised somewhere, and some passed
+    assert raised >= 4 * len(inputs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 8])
+def test_standard_fn_contour_on_real_input_matches_dense_expm(rng, p):
+    a = _scaled(rng, 3, p, False)
+    assert a.exactly_real
+    out = standard_fn_contour(a, named_scalar_fn("exp"))
+    want = scipy.linalg.expm(bcirc(a))
+    assert np.linalg.norm(bcirc(out) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("p", [5, 8])
+def test_standard_fn_contour_sees_the_conjugate_faces(p):
+    # face 1 carries 1 + 5j, so only face p - 1 (> p//2) carries 1 - 5j
+    half = np.zeros((p // 2 + 1, 3, 3), dtype=np.complex128)
+    half[:] = np.diag([0.5, 0.2, 0.1])
+    half[1] = np.diag([1 + 5j, 0.5, 0.2])
+    a = Tensor3(np.fft.irfft(half, n=p, axis=0))
+    assert a.exactly_real
+    exp = named_scalar_fn("exp")
+    # a circle through 1 - 5j
+    with pytest.raises(EigenvalueOnContour):
+        standard_fn_contour(a, exp, contour=Contour(((2j, abs(1 - 7j)),), 64))
+    # a circle around everything but 1 - 5j
+    with pytest.raises(InvalidContour, match="unenclosed"):
+        standard_fn_contour(a, exp, contour=Contour(((2j, 4.0),), 64))
