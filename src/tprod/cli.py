@@ -73,9 +73,10 @@ def _resolve_fn(args):
 
 
 def cmd_apply(args):
-    if args.z0 is not None and (args.standard or args.method != "series"):
-        raise InvalidArgument(
-            "--z0 belongs to the generalized series route (--method series without --standard)")
+    if args.standard and args.method == "series":
+        raise InvalidArgument("--method series is the generalized Taylor route; drop --standard")
+    if args.z0 is not None and args.method != "series":
+        raise InvalidArgument("--z0 belongs to the generalized series route (--method series)")
     if args.nodes is not None and args.method != "contour":
         raise InvalidArgument("--nodes belongs to the contour routes (--method contour)")
     a = tio.read_tensor(args.path)
@@ -85,11 +86,9 @@ def cmd_apply(args):
         out = spectral_fn(a, f)
     else:
         if args.method == "series":
-            out = (standard_tfn(a, f, force_series=True) if args.standard
-                   else gfun_taylor(a, f, z0=args.z0 or 0.0))
+            out = gfun_taylor(a, f, z0=args.z0 or 0.0)
         else:
-            contour_fn = standard_fn_contour if args.standard else gfun_contour
-            out = contour_fn(a, f, nodes=args.nodes)
+            out = (standard_fn_contour if args.standard else gfun_contour)(a, f, nodes=args.nodes)
         reference = spectral_fn(a, f)
         diff = fnorm(out - reference) / max(fnorm(reference), 1e-300)
         print(f"cross-check vs spectral: {diff:.3e}")

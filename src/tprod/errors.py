@@ -50,7 +50,9 @@ class FnDomainError(TprodError):
 
 
 class DefectiveFace(TprodError):
-    """Face eigendecomposition too ill-conditioned and no series fallback."""
+    """A face too far from normal for its route: ill-conditioned eigenvectors and
+    no series fallback, a fallback Taylor sum that cancels, or an exp whose
+    squarings cannot be trusted."""
 
 
 class SeriesDivergence(TprodError):

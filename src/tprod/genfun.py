@@ -32,17 +32,20 @@ from .errors import (
     FnDomainError,
     InvalidArgument,
     NoConvergence,
+    NonFinite,
     RadiusViolation,
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
-from .spectral import _CHUNK, from_faces, isometry, tcsvd, to_faces
+from .spectral import _CHUNK, _EPS, from_faces, isometry, tcsvd, to_faces
 
 _SERIES_CAP = 500
 _SERIES_RTOL = 1e-12
 # eigenvector matrices of a non-Hermitian face above this condition number
-# send the face to its power series
+# send the face to its power series, which is refused when its rounding
+# error estimate eps * max_k ||c_k D^k|| / ||sum|| exceeds _CANCEL_LIMIT
 _COND_LIMIT = 1e8
+_CANCEL_LIMIT = 1e-10
 # Pade [13/13] coefficients b_0..b_13 of exp, and the largest ||D|| at which
 # the approximant is exp(D + E) with ||E|| <= u ||D|| (Higham 2005)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -51,22 +54,24 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 # most squarings alpha may save below the 1-norm's count: the powers formed at
 # that count are then scaled up by at most 2^(6 * 128), which keeps an error
-# from underflow (2^-1074 per operation) below 2^-300
+# from underflow (2^-1074 per operation) below 2^-300; a face that needs more
+# is refused
 _MAX_SAVED = 128
 
 
 def _power_series(coeff, x, one, mul, norm, cap, rtol):
-    """Sum coeff(k) x^k for k = 0..cap: ``(sum, tail)``.
+    """Sum coeff(k) x^k for k = 0..cap: ``(sum, tail, peak)``.
 
     Stops after two consecutive terms whose size relative to the partial
     sum is at most ``rtol``, so alternating series with zero coefficients in
     between are not truncated early. ``tail`` is the larger relative size of
     the last two terms, so with ``cap >= 2`` the sum settled exactly when
-    ``tail <= rtol``. ``one`` is x^0 and ``mul(pw, x)`` the next power. A
-    sum that overflows returns at once with ``tail`` infinite.
+    ``tail <= rtol``. ``peak`` is the largest term size: the sum's rounding
+    error is about eps * peak. ``one`` is x^0 and ``mul(pw, x)`` the next
+    power. A sum that overflows returns at once with ``tail`` infinite.
     """
     acc, pw = complex(coeff(0)) * one, one
-    ratio, tail = 0.0, np.inf
+    ratio, tail, peak = 0.0, np.inf, norm(acc)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cap + 1):
             pw = mul(pw, x)
@@ -75,12 +80,13 @@ def _power_series(coeff, x, one, mul, norm, cap, rtol):
             size = norm(acc)
             if not np.isfinite(size):
                 # an overflowed power or sum never settles
-                return acc, np.inf
-            prev, ratio = ratio, norm(term) / max(size, 1e-300)
-            tail = max(ratio, prev)
+                return acc, np.inf, np.inf
+            term_size = norm(term)
+            prev, ratio = ratio, term_size / max(size, 1e-300)
+            tail, peak = max(ratio, prev), max(peak, term_size)
             if k > 1 and prev <= rtol and ratio <= rtol:
                 break
-    return acc, tail
+    return acc, tail, peak
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ class Series:
         z = np.asarray(z, dtype=np.complex128)
         if np.any(np.abs(z) >= self.radius):
             raise RadiusViolation(f"|z| up to {np.abs(z).max():.3g} >= radius {self.radius:.3g}")
-        acc, tail = _power_series(self.coeff, z, np.ones_like(z), np.multiply,
-                                  lambda v: np.abs(v).max(), _SERIES_CAP, _SERIES_RTOL)
+        acc, tail, _ = _power_series(self.coeff, z, np.ones_like(z), np.multiply,
+                                     lambda v: np.abs(v).max(), _SERIES_CAP, _SERIES_RTOL)
         if not tail <= _SERIES_RTOL:
             raise SeriesDivergence(f"series did not settle within {_SERIES_CAP} terms")
         return acc
@@ -317,10 +323,14 @@ def _matrix_series(d, f, face_index):
         raise SeriesDivergence(
             f"face {face_index}: spectral radius {rho:.3g} >= series radius {f.series.radius:.3g}"
         )
-    acc, tail = _power_series(f.series.coeff, d, np.eye(d.shape[0], dtype=np.complex128),
-                              np.matmul, np.linalg.norm, _SERIES_CAP, _SERIES_RTOL)
+    acc, tail, peak = _power_series(f.series.coeff, d, np.eye(d.shape[0], dtype=np.complex128),
+                                    np.matmul, np.linalg.norm, _SERIES_CAP, _SERIES_RTOL)
     if not tail <= _SERIES_RTOL:
         raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
+    err = _EPS * peak / max(np.linalg.norm(acc), 1e-300)
+    if err > _CANCEL_LIMIT:
+        raise DefectiveFace(f"face {face_index}: Taylor sum cancels, estimated relative error "
+                            f"{err:.1e} > {_CANCEL_LIMIT:g}")
     return acc
 
 
@@ -329,7 +339,7 @@ def _values_on(f, w):
     return np.broadcast_to(np.asarray(f(w), dtype=np.complex128), w.shape)
 
 
-def _matrix_functions(faces, f, force_series):
+def _matrix_functions(faces, f):
     """f of every face of an (h, n, n) stack, each by its own eigendecomposition.
 
     Hermitian faces go through one batched ``eigh``, the others through one
@@ -338,8 +348,6 @@ def _matrix_functions(faces, f, force_series):
     come from the lowest-indexed failing face, as a face-by-face loop would
     raise them.
     """
-    if force_series:
-        return np.stack([_matrix_series(d, f, i) for i, d in enumerate(faces)])
     h = len(faces)
     scale = np.maximum(np.linalg.norm(faces, axis=(-2, -1)), 1.0)
     skew = np.linalg.norm(faces - faces.conj().swapaxes(-2, -1), axis=(-2, -1))
@@ -398,7 +406,9 @@ def _expm_chunk(d):
     Appl. 31(3), section 4). On a strongly non-normal face alpha is far
     below ||D||, and every squaring saved halves the growth of the
     approximant's rounding error. Scaling the powers by powers of two is
-    exact, so no power is formed twice.
+    exact, so no power is formed twice. Also returns the mask of faces whose
+    count alpha would lower by more than ``_MAX_SAVED``: their squarings
+    raise a diagonal one ulp off to a power of 2^s, which loses every digit.
     """
     b = _PADE13
     s1 = _squarings(np.log2(_onenorm(d)))
@@ -407,7 +417,8 @@ def _expm_chunk(d):
     d4 = d2 @ d2
     d6 = d4 @ d2
     log2_alpha = np.maximum(np.log2(_onenorm(d4)) / 4, np.log2(_onenorm(d6)) / 6) + s1
-    s = np.clip(_squarings(log2_alpha), s1 - _MAX_SAVED, s1)
+    want = _squarings(log2_alpha)
+    s = np.clip(want, s1 - _MAX_SAVED, s1)
     up = np.exp2(s1 - s)[:, None, None]
     d *= up
     d2 *= up**2
@@ -423,14 +434,15 @@ def _expm_chunk(d):
         sq = s > j
         rs = r[sq]
         r[sq] = rs @ rs
-    return r
+    return r, want < s1 - _MAX_SAVED
 
 
 def _expm_faces(faces):
     """exp of every face of an (h, n, n) stack, in chunks of about _CHUNK elements.
 
     Raises :class:`FnDomainError` naming the lowest face whose exponential
-    is not finite, as the eigendecomposition route does.
+    is not finite, as the eigendecomposition route does, or
+    :class:`DefectiveFace` where that face's squaring count was clipped.
     """
     h, n, _ = faces.shape
     out = np.empty(faces.shape, dtype=np.complex128)
@@ -438,10 +450,14 @@ def _expm_faces(faces):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, h, step):
             part = slice(i, i + step)
-            out[part] = _expm_chunk(faces[part])
+            out[part], clipped = _expm_chunk(faces[part])
             finite = np.isfinite(out[part]).all(axis=(-2, -1))
-            if not finite.all():
-                raise FnDomainError(f"exp not finite on face {i + int(np.argmin(finite))}")
+            if clipped.any() or not finite.all():
+                k = int(np.argmax(clipped | ~finite))
+                if not finite[k]:
+                    raise FnDomainError(f"exp not finite on face {i + k}")
+                raise DefectiveFace(f"exp of face {i + k}: alpha would save more than "
+                                    f"{_MAX_SAVED} squarings, which the kernel cannot trust")
     return out
 
 
@@ -455,7 +471,7 @@ def _looks_real_analytic(f):
     return bool(np.all(np.abs(probe.imag) <= 1e-14 * (1.0 + np.abs(probe))))
 
 
-def standard_tfn(a: Tensor3, f: ScalarFn, force_series=False) -> Tensor3:
+def standard_tfn(a: Tensor3, f: ScalarFn) -> Tensor3:
     """Standard T-function: the matrix function of every DFT face.
 
     Equals bcirc_inv(f(bcirc(a))). When ``f.fn is np.exp``, the whole face
@@ -464,29 +480,28 @@ def standard_tfn(a: Tensor3, f: ScalarFn, force_series=False) -> Tensor3:
     eigendecomposition per call over the whole face stack (``eigh`` for the
     Hermitian faces, ``eig`` for the rest) with a conditioning guard on each
     face; a declared power series is the fallback for the faces that fail it.
-    ``force_series`` sends every face, exp's included, to the power series.
     """
     if a.m != a.n:
         raise DimMismatch(f"standard T-function needs an F-square tensor, got {a.shape}")
     half, (faces,) = to_faces(a, allow_half=_looks_real_analytic(f))
-    if f.fn is np.exp and not force_series:
-        return from_faces(_expm_faces(faces), a.p, half)
-    return from_faces(_matrix_functions(faces, f, force_series), a.p, half)
+    out = _expm_faces(faces) if f.fn is np.exp else _matrix_functions(faces, f)
+    return from_faces(out, a.p, half)
 
 
 def gpower(a: Tensor3, k: int) -> Tensor3:
-    """Generalized power: X_0 = E and X_j = X_{j-1} * E^H * A.
+    """Generalized power A^(k) = Ur * Sr^k * Vr^H, with X_0 = E (sigma^0 = 1 on the window).
 
-    Satisfies X_{2j+1} = (A * A^H)^j * A and X_{2j} = (A * A^H)^j * E.
+    It satisfies X_j = X_{j-1} * E^H * A, so X_{2j+1} = (A * A^H)^j * A and
+    X_{2j} = (A * A^H)^j * E. A sigma^k that overflows raises :class:`NonFinite`.
     """
     if k < 0 or k != int(k):
         raise InvalidArgument("generalized power needs a nonnegative integer exponent")
-    e = isometry(tcsvd(a))
-    eh = conj_transpose(e)
-    x = e
-    for _ in range(int(k)):
-        x = tprod(tprod(x, eh), a)
-    return x
+    c = tcsvd(a)
+    with np.errstate(over="ignore"):
+        vals = c.sigma ** int(k)
+    if not np.isfinite(vals).all():
+        raise NonFinite(f"sigma^{int(k)} overflows at singular value {c.sigma.max():.3g}")
+    return c.rebuild(vals)
 
 
 def _taylor_coeff(f, z0, k):
@@ -517,9 +532,9 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
 
     def taylor_sum(x):
         shifted = x.astype(np.complex128) - z0
-        acc, tail = _power_series(lambda k: _taylor_coeff(f, z0, k), shifted,
-                                  np.ones_like(shifted), np.multiply, np.linalg.norm,
-                                  max_terms, tol)
+        acc, tail, _ = _power_series(lambda k: _taylor_coeff(f, z0, k), shifted,
+                                     np.ones_like(shifted), np.multiply, np.linalg.norm,
+                                     max_terms, tol)
         # a vanishing coefficient can make the very last term tiny while the
         # series still diverges, so judge the last two terms together
         if not tail <= 100 * tol:

@@ -47,7 +47,7 @@ from .errors import (
     NoConvergence,
     ZeroSingularValue,
 )
-from .genfun import _require_f_zero
+from .genfun import _looks_real_analytic, _require_f_zero
 from .spectral import _CHUNK, TCsvd, from_faces, isometry, mirror, tcsvd, to_faces
 
 DEFAULT_NODES = 256
@@ -265,9 +265,13 @@ def _contour_sum(c: TCsvd, contour, coef, choose_nodes=False):
     ``rebuild`` is linear in its values, so the terms add up on the (p, r)
     values and the caller rebuilds once. With ``choose_nodes`` the node count
     is chosen by halving (module docstring) instead of taken from the contour.
+    With real centres and a real-analytic coef the nodes come in conjugate
+    pairs, so the exact sum is real and its real part is returned.
     """
+    real = not contour.centers.imag.any() and _looks_real_analytic(coef)
     if not choose_nodes:
-        return _node_sum(c, contour, coef, contour.nodes_per_circle).sum(axis=0)
+        vals = _node_sum(c, contour, coef, contour.nodes_per_circle).sum(axis=0)
+        return vals.real if real else vals
     k = _FIRST_NODES
     even, odd = _node_sum(c, contour, coef, k)
     coarse, vals = 2.0 * even, even + odd
@@ -285,7 +289,7 @@ def _contour_sum(c: TCsvd, contour, coef, choose_nodes=False):
         # the 2k-node rule: the k nodes summed so far and the k nodes half a step on
         coarse, vals = vals, 0.5 * (vals + _node_sum(c, contour, coef, k, shift=0.5).sum(axis=0))
         k *= 2
-    return vals
+    return vals.real if real else vals
 
 
 def gfun_contour(a: Tensor3, f, nodes=None, contour=None) -> Tensor3:
@@ -370,7 +374,10 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     evaluated on the whole face stack by Paterson-Stockmeyer (about 2 sqrt(N)
     batched products), and the result is one batched solve with I - B^N,
     which commutes with P. It uses no eigenvectors, so it shares nothing
-    with :func:`tprod.genfun.standard_tfn` beyond the DFT.
+    with :func:`tprod.genfun.standard_tfn` beyond the DFT. On exactly real
+    input (and ``b``) with a real-analytic f, the default centre is real, and
+    a real centre puts the nodes in conjugate pairs, so the real part of the
+    result is returned.
     """
     if a.m != a.n:
         raise DimMismatch(f"standard function needs an F-square tensor, got {a.shape}")
@@ -383,8 +390,9 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
         eigs = mirror(np.linalg.eigvals(faces[: a.p // 2 + 1]), a.p).ravel()
     else:
         eigs = np.linalg.eigvals(faces).ravel()
+    real = a.exactly_real and (b is None or b.exactly_real) and _looks_real_analytic(f)
     if contour is None:
-        center = complex(eigs.mean())
+        center = complex(eigs.mean().real if real else eigs.mean())
         spread = float(np.abs(eigs - center).max())
         radius = 1.3 * spread + 0.1 * max(spread, 1.0)
         contour = Contour(circles=((center, radius),), nodes_per_circle=_node_count(nodes))
@@ -419,4 +427,5 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
         _, (rhs,) = to_faces(b, allow_half=False)
         poly = poly @ rhs
     out = np.linalg.solve(eye - np.linalg.matrix_power(bmat, n_nodes), poly)
-    return from_faces(out, a.p, half=False)
+    out = from_faces(out, a.p, half=False)
+    return Tensor3(out.data.real) if real and center.imag == 0 else out

@@ -510,21 +510,18 @@ class ConeSpec:
             raise DimMismatch(f"rank bound {self.r} out of range")
 
 
-def _pava_nonincreasing(y):
-    # pool-adjacent-violators for a nonincreasing fit, then clip at zero
-    y = np.asarray(y, dtype=float)
-    vals = []
-    wts = []
-    for v in y:
-        vals.append(v)
-        wts.append(1.0)
-        while len(vals) > 1 and vals[-2] < vals[-1]:
-            v2, w2 = vals.pop(), wts.pop()
-            v1, w1 = vals.pop(), wts.pop()
-            vals.append((v1 * w1 + v2 * w2) / (w1 + w2))
-            wts.append(w1 + w2)
-    out = np.concatenate([np.full(int(w), v) for v, w in zip(vals, wts)])
-    return np.maximum(out, 0.0)
+def _antitone_fit(y):
+    """Least-squares nonincreasing fit of every row of an (h, r) stack.
+
+    fit_i = min_{j<=i} max_{l>=i} mean(y_j..y_l), the min-max form of isotonic
+    regression (Robertson, Wright & Dykstra 1988, Theorem 1.4.4).
+    """
+    csum = np.concatenate([np.zeros((len(y), 1)), y.cumsum(axis=1)], axis=1)
+    start, stop = np.arange(y.shape[1])[:, None], np.arange(y.shape[1])
+    means = (csum[:, None, 1:] - csum[:, :-1, None]) / np.maximum(stop - start + 1, 1)
+    # [j, i] = max over l >= i of mean(y_j..y_l); for i >= j it reads only l >= j
+    upper = np.maximum.accumulate(means[..., ::-1], axis=-1)[..., ::-1]
+    return np.where(stop >= start, upper, np.inf).min(axis=1)
 
 
 def _cone_project_faces(spec: ConeSpec, a: Tensor3):
@@ -532,13 +529,9 @@ def _cone_project_faces(spec: ConeSpec, a: Tensor3):
     # faces k and p - k share their real diagonal, so a real mid projects on
     # the half spectrum
     half, (faces,) = to_faces(mid)
-    k = min(spec.U.n, spec.V.n)
+    diag = np.arange(spec.r)
     out = np.zeros_like(faces)
-    for i, face in enumerate(faces):
-        d = np.real(np.diagonal(face))[:k].copy()
-        d[spec.r:] = 0.0
-        d[: spec.r] = _pava_nonincreasing(d[: spec.r])
-        out[i, np.arange(k), np.arange(k)] = d
+    out[:, diag, diag] = np.maximum(_antitone_fit(faces[:, diag, diag].real), 0.0)
     return from_faces(out, a.p, half)
 
 

@@ -20,6 +20,7 @@ REMOVED = {
     "ScalarFn": {"odd_completed"},
     "_cluster": {"rtol"},
     "_sinkhorn_block_circulant": {"max_sweeps", "tol"},
+    "standard_tfn": {"force_series"},
 }
 
 

@@ -58,6 +58,29 @@ def test_strongly_non_normal_face():
     assert abs(got[0, 0] - np.e) <= 1e-14 * np.e
 
 
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("x", [1e60, 1e100])
+def test_squarings_alpha_cannot_save_are_refused(x, p):
+    # ||D||_1 asks for 197 (x = 1e60) or 330 squarings, alpha for 48 or 82; the
+    # kernel saves at most 128, and the rest cost every digit of the diagonal
+    # (1.0 relative error at 1e60, all zeros at 1e100)
+    a = first_slice(np.array([[1.0, x], [0.0, 1.0]]), p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefectiveFace, match="exp of face 0: alpha would save more") as exc:
+            standard_tfn(a, EXP)
+    assert exc.value.exit_code == 3
+
+
+@pytest.mark.parametrize("x, tol", [(1e10, 1e-13), (1e30, 1e-10), (1e40, 1e-7)])
+def test_squarings_within_reach_are_kept(x, tol):
+    # alpha saves 24, 75 and 99 squarings here; the relative errors read
+    # 8.3e-15, 9.7e-12 and 7.5e-9
+    got = standard_tfn(Tensor3(np.array([[[1.0, x], [0.0, 1.0]]])), EXP).data[0]
+    want = np.e * np.array([[1.0, x], [0.0, 1.0]])
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 def test_cli_writes_the_exponential_of_a_jordan_face(tmp_path):
     a = first_slice(_jordan4(-20.0), 4)
     src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"

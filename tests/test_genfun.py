@@ -32,15 +32,19 @@ from tprod import (
     tprod,
     transpose,
 )
+from tprod.algebra import first_slice
+from tprod.cli import main
 from tprod.errors import (
     DefectiveFace,
     FnDomainError,
     InvalidArgument,
     NoConvergence,
+    NonFinite,
     RadiusViolation,
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
+from tprod.io import write_tensor
 
 from conftest import dense_gmf, rand3, rand_face_ranks, rand_low_rank
 
@@ -205,13 +209,6 @@ def test_standard_tfn_nonnormal_dense_oracle(rng):
     assert fnorm(lhs - rhs) <= 1e-9 * fnorm(rhs)
 
 
-def test_standard_tfn_series_path_matches_eig(rng):
-    a = 0.3 * rand3(rng, 3, 3, 2)
-    lhs = standard_tfn(a, EXP, force_series=True)
-    rhs = standard_tfn(a, EXP)
-    assert fnorm(lhs - rhs) <= 1e-11 * max(fnorm(rhs), 1.0)
-
-
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
 HERM = np.array([[0.5, 0.25], [0.25, -0.375]])
 GENERAL = np.array([[0.5, 0.75], [-0.125, 0.25]])
@@ -256,11 +253,12 @@ def test_standard_tfn_hermitian_face_checks_finiteness():
 @pytest.mark.parametrize("p", [1, 4, 5])
 def test_standard_tfn_real_in_real_out_on_every_path(rng, p):
     jordan = np.zeros((p, 2, 2))
-    jordan[0] = JORDAN  # every face is the Jordan block: the series path
+    jordan[0] = JORDAN  # every face is the Jordan block: Pade for exp, the series for sinh
     sym = rand3(rng, 3, 3, 1)
     sym = Tensor3(np.repeat(sym.data + sym.data.transpose(0, 2, 1), p, axis=0))
     for a in (Tensor3(jordan), sym, rand3(rng, 3, 3, p)):
-        assert standard_tfn(a, EXP).exactly_real
+        for f in (EXP, named_scalar_fn("sinh")):
+            assert standard_tfn(a, f).exactly_real
 
 
 def test_gpower_basics(rng):
@@ -285,6 +283,101 @@ def test_gpower_even_odd_identities(rng):
     gram = tprod(a, conj_transpose(a))
     assert fnorm(gpower(a, 4) - tprod(tprod(gram, gram), e)) <= 1e-9 * max(fnorm(a), 1.0) ** 4
     assert fnorm(gpower(a, 5) - tprod(tprod(gram, gram), a)) <= 1e-9 * max(fnorm(a), 1.0) ** 5
+
+
+def _jordan4(lam):
+    return np.diag(np.full(4, lam)) + np.diag(np.ones(3), 1)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("lam", [-10.0, -30.0])
+@pytest.mark.parametrize("name, dense", [
+    ("sinh", scipy.linalg.sinhm), ("cosh", scipy.linalg.coshm), ("square", lambda m: m @ m),
+])
+def test_standard_series_fallback_on_jordan_faces(p, lam, name, dense):
+    # every face is a 4x4 Jordan block, which fails the eigenvector guard, so
+    # the series fallback computes all of them
+    a = first_slice(_jordan4(lam), p)
+    got = standard_tfn(a, named_scalar_fn(name))
+    assert _rel(bcirc(got), dense(bcirc(a))) <= 1e-12
+
+
+def test_standard_series_fallback_ln1p_on_a_jordan_face():
+    a = first_slice(_jordan4(0.3), 2)
+    want = scipy.linalg.logm(np.eye(8) + bcirc(a))
+    assert _rel(bcirc(standard_tfn(a, named_scalar_fn("ln1p"))), want) <= 1e-12
+
+
+@pytest.mark.parametrize("name, dense", [("sin", scipy.linalg.sinm), ("cos", scipy.linalg.cosm)])
+def test_standard_series_fallback_accurate_sum_is_kept(name, dense):
+    # at -10 the alternating sum loses about 3 digits, well inside the bound
+    for p in (1, 4):
+        a = first_slice(_jordan4(-10.0), p)
+        assert _rel(bcirc(standard_tfn(a, named_scalar_fn(name))), dense(bcirc(a))) <= 5e-12
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("lam", [-20.0, -30.0])
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_standard_series_fallback_refuses_a_cancelling_sum(p, lam, name):
+    # the alternating Taylor sum of sin or cos cancels on these faces (the sum
+    # read 1.2e-8 to 3.5e-4 from scipy), so the result is refused
+    with pytest.raises(DefectiveFace, match="face 0: Taylor sum cancels") as exc:
+        standard_tfn(first_slice(_jordan4(lam), p), named_scalar_fn(name))
+    assert exc.value.exit_code == 3
+
+
+def test_cli_refuses_a_cancelling_standard_sum(tmp_path, capsys):
+    src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"
+    write_tensor(src, first_slice(_jordan4(-20.0), 4))
+    assert main(["apply", str(src), "--fn", "cos", "--standard", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: face 0: Taylor sum cancels") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _gpower_by_recurrence(a, k):
+    # the definition X_0 = E and X_j = X_{j-1} * E^H * A, by T-products
+    e = isometry(tcsvd(a))
+    x = e
+    for _ in range(k):
+        x = tprod(tprod(x, conj_transpose(e)), a)
+    return x
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (3, 2, 5), (2, 4, 6), (4, 4, 1)])
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+def test_gpower_closed_form_matches_recurrence(rng, shape, cplx, deficient):
+    m, n, p = shape
+    a = rand_low_rank(rng, m, n, p, 1, cplx) if deficient else rand3(rng, m, n, p, cplx)
+    for k in range(7):
+        want = _gpower_by_recurrence(a, k)
+        got = gpower(a, k)
+        assert got.exactly_real == (not cplx)
+        assert fnorm(got - want) <= 1e-13 * max(fnorm(want), 1.0), k
+
+
+def test_gpower_keeps_zero_window_positions_out():
+    # face ranks 2, 1, 0: zeros inside the window give E's frames at k = 0 only
+    a = rand_face_ranks(np.random.default_rng(5), 3, 3, [2, 1, 0])
+    for k in range(4):
+        want = _gpower_by_recurrence(a, k)
+        assert fnorm(gpower(a, k) - want) <= 1e-13 * max(fnorm(want), 1.0)
+
+
+def test_gpower_overflow_raises_without_warnings():
+    a = Tensor3(np.array([[[1e3, 0.0], [0.0, 1.0]]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(gpower(a, 102).data).all()
+        with pytest.raises(NonFinite, match="overflows") as exc:
+            gpower(a, 103)
+    assert exc.value.exit_code == 3
 
 
 def test_taylor_square_exact(tube4):
@@ -350,7 +443,6 @@ def test_series_overflow_raises_without_warnings(fn):
     a = Tensor3(np.array([[[200.0]], [[1.0]]]))
     calls = [
         (SeriesDivergence, lambda: f.series.eval(np.array([200.0, 1.0]))),
-        (SeriesDivergence, lambda: standard_tfn(a, f, force_series=True)),
         (NoConvergence, lambda: gfun_taylor(a, f)),
     ]
     for err, call in calls:
@@ -359,6 +451,17 @@ def test_series_overflow_raises_without_warnings(fn):
             with pytest.raises(err):
                 call()
         assert not caught
+
+
+@pytest.mark.parametrize("fn", ["sin", "cosh"])
+def test_standard_series_fallback_overflow_raises_without_warnings(fn):
+    # a Jordan face fails the eigenvector guard, and 200**k overflows before
+    # its Taylor sum settles
+    a = Tensor3(np.array([[[200.0, 1.0], [0.0, 200.0]]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesDivergence, match="face 0: series did not settle"):
+            standard_tfn(a, named_scalar_fn(fn))
 
 
 def test_series_sum_overflow_is_not_settled():
@@ -385,9 +488,9 @@ def test_series_eval_unsettled_within_cap():
 
 
 def test_standard_series_face_outside_radius():
-    a = Tensor3(np.array([[[1.5, 0.0], [0.0, 0.2]]]))
+    a = Tensor3(np.array([[[1.5, 1.0], [0.0, 1.5]]]))  # a Jordan face fails the guard
     with pytest.raises(SeriesDivergence, match="face 0: spectral radius 1.5 >= series radius 1"):
-        standard_tfn(a, named_scalar_fn("ln1p"), force_series=True)
+        standard_tfn(a, named_scalar_fn("ln1p"))
 
 
 def test_named_gfun_gates(rng):

@@ -246,6 +246,17 @@ def test_cli_apply_methods_cross_check(tmp_path, capsys, rng):
         assert "cross-check vs spectral" in out
 
 
+@pytest.mark.parametrize("kind", ["--generalized", "--standard"])
+def test_cli_contour_route_writes_real_output_for_real_input(tmp_path, capsys, kind):
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(FIXTURES / "tube4.txt"), "--fn", "square", kind, "--method",
+               "contour", "--out", str(out)])
+    assert rc == 0
+    assert read_tensor(out).exactly_real
+    assert main(["info", str(out)]) == 0
+    assert "dtype: real64" in capsys.readouterr().out
+
+
 def test_cli_apply_failed_cross_check_exits_3(tmp_path, capsys):
     # the default circle of the standard-function contour oracle loses digits
     # on these unscaled faces (8.6e-4 from the spectral route)
@@ -355,15 +366,14 @@ def test_cli_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):
     assert err == "error: RuntimeError: first line second line\n"
 
 
-@pytest.mark.parametrize("standard", [False, True], ids=["taylor", "standard"])
-def test_cli_series_overflow_is_one_line_exit_3(tmp_path, capsys, standard):
+def test_cli_series_overflow_is_one_line_exit_3(tmp_path, capsys):
     # 200**k overflows before the exp series settles
     src = tmp_path / "big.tt3a"
     write_binary(src, Tensor3(np.array([[[200.0]], [[1.0]]])))
     argv = ["apply", str(src), "--fn", "exp", "--method", "series", "--out", str(tmp_path / "o")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(argv + (["--standard"] if standard else []))
+        rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -547,6 +557,17 @@ def test_cli_apply_refuses_what_its_route_cannot_use(tmp_path, capsys, flags):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "ValueError" not in err and "OverflowError" not in err
+    assert not out.exists()
+
+
+def test_cli_standard_series_route_is_gone(tmp_path, capsys):
+    # --method series is the generalized Taylor route only
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(FIXTURES / "tube4.txt"), "--fn", "square", "--standard",
+               "--method", "series", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --method series is the generalized") and err.count("\n") == 1
     assert not out.exists()
 
 

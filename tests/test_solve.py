@@ -713,3 +713,42 @@ def test_standard_fn_contour_sees_the_conjugate_faces(p):
     # a circle around everything but 1 - 5j
     with pytest.raises(InvalidContour, match="unenclosed"):
         standard_fn_contour(a, exp, contour=Contour(((2j, 4.0),), 64))
+
+
+@pytest.mark.parametrize("p", [1, 4, 5])
+def test_contour_oracles_keep_real_input_real(rng, p):
+    # real centres and a real-analytic f pair the nodes as conjugates
+    a, b, y = (_scaled(rng, 3, p, False) for _ in range(3))
+    d = tprod(a, tprod(y, b))
+    vec = rand3(rng, 3, 1, p)
+    sq, exp = named_scalar_fn("square"), named_scalar_fn("exp")
+    pairs = [
+        (gfun_contour(a, sq), gfun(a, sq)),
+        (gfun_contour(a, sq, nodes=128), gfun(a, sq)),
+        (pinv_contour(a), pinv(a)),
+        (solve_axb_contour(a, b, d), solve_axb(a, b, d).x),
+        (standard_fn_contour(a, exp), standard_tfn(a, exp)),
+        (standard_fn_contour(a, exp, b=vec), tprod(standard_tfn(a, exp), vec)),
+    ]
+    for out, want in pairs:
+        assert out.exactly_real
+        assert fnorm(out - want) <= 1e-12 * max(fnorm(want), 1.0)
+    top = float(tcsvd(a).sigma.max())
+    assert cluster_projector_contour(a, top).exactly_real
+
+
+def test_contour_oracles_stay_complex_off_the_real_axis(rng):
+    a = _scaled(rng, 3, 4, False)
+    exp = named_scalar_fn("exp")
+    # an explicit complex centre breaks the conjugate pairing of the nodes
+    out = standard_fn_contour(a, exp, contour=Contour(((0.1j, 5.0),), 128))
+    assert out.data.dtype == np.complex128
+    assert fnorm(out - standard_tfn(a, exp)) <= 1e-12 * fnorm(standard_tfn(a, exp))
+    # so does an f that is not real on the real axis
+    rot = scalar_fn(lambda z: 1j * np.asarray(z), 0.0, "rot")
+    out = gfun_contour(a, rot)
+    assert out.data.dtype == np.complex128
+    assert fnorm(out - gfun(a, rot)) <= 1e-12 * fnorm(gfun(a, rot))
+    # and complex input
+    c = _scaled(rng, 3, 4, True)
+    assert standard_fn_contour(c, exp).data.dtype == np.complex128

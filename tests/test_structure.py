@@ -41,7 +41,8 @@ from tprod.errors import (
     RadiusViolation,
     UnsupportedClass,
 )
-from tprod.structure import ENTRYWISE_CLASSES, FORM_CLASSES, TABLE1_CLASSES, TABLE2_CLASSES
+from tprod.structure import (ENTRYWISE_CLASSES, FORM_CLASSES, TABLE1_CLASSES, TABLE2_CLASSES,
+                             _antitone_fit, _cone_project_faces)
 
 from conftest import rand3
 
@@ -381,6 +382,44 @@ def test_cone_invariance(rng):
     xexp = scalar_fn(lambda x: np.asarray(x) * np.exp(-np.asarray(x)), 0.0, "xexp")
     with pytest.raises(HypothesisViolation):
         cone_invariance_check(spec, xexp, trials=1)
+
+
+def _pava_nonincreasing(y):
+    # pool-adjacent-violators: merge neighbouring blocks while they increase
+    vals, wts = [], []
+    for v in y:
+        vals.append(v)
+        wts.append(1)
+        while len(vals) > 1 and vals[-2] < vals[-1]:
+            v2, w2 = vals.pop(), wts.pop()
+            v1, w1 = vals.pop(), wts.pop()
+            vals.append((v1 * w1 + v2 * w2) / (w1 + w2))
+            wts.append(w1 + w2)
+    return np.repeat(vals, wts)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_antitone_fit_matches_pava(r):
+    y = np.random.default_rng(r).standard_normal((400, r))
+    y[::2] = np.round(2 * y[::2]) / 2  # ties and equal runs
+    want = np.array([_pava_nonincreasing(row) for row in y])
+    assert np.abs(_antitone_fit(y) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_cone_projection_matches_pava_per_face(rng, r, cplx):
+    # r = 1 and r = min(m, n); the diagonals past r are dropped
+    u, v = random_unitary(4, 5, seed=40), random_unitary(3, 5, seed=41)
+    a = rand3(rng, 4, 3, 5, cplx)
+    faces = np.fft.fft(tprod(conj_transpose(u), tprod(a, v)).data, axis=0)
+    want = np.zeros_like(faces)
+    for face, out in zip(faces, want):
+        fit = _pava_nonincreasing(face.diagonal()[:r].real)
+        out[np.arange(r), np.arange(r)] = np.maximum(fit, 0.0)
+    want = Tensor3(np.fft.ifft(want, axis=0))
+    got = _cone_project_faces(ConeSpec(U=u, V=v, r=r), a)
+    assert fnorm(got - want) <= 1e-14 * max(fnorm(want), 1.0)
 
 
 def test_cone_rejects_bad_frames(rng):
