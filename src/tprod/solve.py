@@ -48,7 +48,7 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _looks_real_analytic, _require_f_zero
-from .spectral import _CHUNK, TCsvd, from_faces, isometry, mirror, tcsvd, to_faces
+from .spectral import _CHUNK, TCsvd, from_faces, isometry, tcsvd, to_faces
 
 DEFAULT_NODES = 256
 # the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
@@ -227,11 +227,6 @@ def _nodes(contour, k, shift=0.0):
     return z, (z - contour.centers[:, None]) / k
 
 
-def _quad_nodes(contour):
-    """Per circle, node and weight arrays (z, w) of the contour's own rule."""
-    return zip(*_nodes(contour, contour.nodes_per_circle))
-
-
 def _node_sum(c: TCsvd, contour, coef, k, shift=0.0):
     """sum coef(z) w / (z - sigma) over the k nodes of each (p, r) value's own circle.
 
@@ -359,7 +354,8 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     The contour is one circle, centre c and radius r, that encloses every
     face eigenvalue; any other contour raises :class:`InvalidContour`. With
     ``b`` given the action f(A) * b is returned instead of f(A). Without
-    ``nodes`` the rule has ``DEFAULT_NODES`` nodes.
+    ``nodes`` the rule has ``DEFAULT_NODES`` nodes. The default centre is the
+    mean face eigenvalue tr(A_1)/n, as the faces sum to p A_1.
 
     The N-node trapezoid sum is evaluated as one DFT rather than N shifted
     solves. On a face D, with B = (D - cI)/r and z_k = c + r w^k
@@ -374,40 +370,36 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     evaluated on the whole face stack by Paterson-Stockmeyer (about 2 sqrt(N)
     batched products), and the result is one batched solve with I - B^N,
     which commutes with P. It uses no eigenvectors, so it shares nothing
-    with :func:`tprod.genfun.standard_tfn` beyond the DFT. On exactly real
-    input (and ``b``) with a real-analytic f, the default centre is real, and
-    a real centre puts the nodes in conjugate pairs, so the real part of the
-    result is returned.
+    with :func:`tprod.genfun.standard_tfn` beyond the face layer. Real
+    centres pair the nodes as conjugates, so on exactly real input (and
+    ``b``) with a real-analytic f the rule runs on the half spectrum.
     """
     if a.m != a.n:
         raise DimMismatch(f"standard function needs an F-square tensor, got {a.shape}")
     if b is not None and (b.m != a.n or b.p != a.p):
         raise DimMismatch(f"cannot apply a {a.shape} function to {b.shape}")
-    # the quadrature runs on all p faces, so it shares no half-spectrum logic with
-    # standard_tfn; a real input's faces k > p//2 only conjugate the eigenvalues
-    _, (faces,) = to_faces(a, allow_half=False)
-    if a.exactly_real:
-        eigs = mirror(np.linalg.eigvals(faces[: a.p // 2 + 1]), a.p).ravel()
-    else:
-        eigs = np.linalg.eigvals(faces).ravel()
-    real = a.exactly_real and (b is None or b.exactly_real) and _looks_real_analytic(f)
+    real_centres = contour is None or not contour.centers.imag.any()
+    half, (faces, *rhs) = to_faces(*((a,) if b is None else (a, b)),
+                                   allow_half=real_centres and _looks_real_analytic(f))
+    eigs = np.linalg.eigvals(faces).ravel()
     if contour is None:
-        center = complex(eigs.mean().real if real else eigs.mean())
+        center = complex(np.trace(a.data[0]) / a.n)
         spread = float(np.abs(eigs - center).max())
         radius = 1.3 * spread + 0.1 * max(spread, 1.0)
         contour = Contour(circles=((center, radius),), nodes_per_circle=_node_count(nodes))
+    # a real centre is as far from conj(lambda) as from lambda
     scale = max(float(np.abs(eigs).max()), 1.0)
-    for center, rad in contour.circles:
-        margin = np.abs(np.abs(eigs - center) - rad).min()
-        if margin < 1e-8 * scale:
-            raise EigenvalueOnContour(f"face eigenvalue within {margin:.3e} of the contour")
+    margin = np.abs(np.abs(eigs[:, None] - contour.centers) - contour.radii).min(axis=0)
+    close = margin[margin < 1e-8 * scale]
+    if close.size:
+        raise EigenvalueOnContour(f"face eigenvalue within {close[0]:.3e} of the contour")
     if len(contour.circles) != 1:
         # eigenvalues outside a circle make B^N grow, which the closed form would cancel
         raise InvalidContour("the standard-function oracle takes one enclosing circle")
     _check_encloses(contour, eigs)
 
-    (z, _), = _quad_nodes(contour)
-    (center, rad), = contour.circles
+    z = _nodes(contour, contour.nodes_per_circle)[0][0]
+    center, rad = contour.centers[0], contour.radii[0]
     n_nodes = z.size
     # Paterson-Stockmeyer: P = sum_q (sum_{t<s} c_{qs+t} B^t) (B^s)^q
     s = int(np.ceil(np.sqrt(n_nodes)))
@@ -423,9 +415,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     poly = blocks[-1]
     for blk in blocks[-2::-1]:
         poly = poly @ bs + blk
-    if b is not None:
-        _, (rhs,) = to_faces(b, allow_half=False)
-        poly = poly @ rhs
+    if rhs:
+        poly = poly @ rhs[0]
     out = np.linalg.solve(eye - np.linalg.matrix_power(bmat, n_nodes), poly)
-    out = from_faces(out, a.p, half=False)
-    return Tensor3(out.data.real) if real and center.imag == 0 else out
+    return from_faces(out, a.p, half)

@@ -11,10 +11,10 @@ module reaches the faces through :func:`to_faces` and leaves through
 :func:`from_faces`, running one batched kernel over the face stack in
 between. For a real tensor the faces come in conjugate pairs
 D_{p-k} = conj(D_k), so the layer keeps only the half spectrum, faces
-0..p//2 (``rfft``), and returns through ``irfft``: real input gives real
-output by construction. :func:`mirror` rebuilds all p faces where a kernel
-breaks the pairing, such as a complex-valued function of real singular
-values.
+0..p//2 (``rfft``), and :func:`from_faces` alone decides whether the result
+is real. :func:`mirror` rebuilds all p faces where a kernel breaks the
+pairing: a complex-valued function of real singular values, or sqrt of a
+negative eigenvalue on face 0.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .core import Tensor3
 from .errors import NonFinite
 
 _EPS = float(np.finfo(np.float64).eps)
+# a self-conjugate face's imaginary part above this fraction of the largest entry
+# is no roundoff (eig at its conditioning limit loses about 2e-8)
+_SELF_CONJUGATE_RTOL = 1e-6
 # complex elements per chunk of a batched work array (quadrature nodes x
 # values, or a slice of the face stack), so peak memory stays flat in p
 _CHUNK = 1 << 16
@@ -56,13 +59,18 @@ def to_faces(*tensors, allow_half=True):
 
 
 def from_faces(faces, p, half) -> Tensor3:
-    """Inverse of :func:`to_faces`; a half spectrum comes back as float64.
+    """Inverse of :func:`to_faces`; the one rule for whether a real input's result is real.
 
-    ``irfft`` ignores the imaginary parts of face 0 and (for even p) face
-    p/2, so on the half path those faces must already be real.
+    A half spectrum comes back through ``irfft`` as float64 unless its
+    self-conjugate faces (0, and p/2 for even p) carry an imaginary part above
+    ``_SELF_CONJUGATE_RTOL`` of its largest entry, which ``irfft`` would drop;
+    then it is mirrored and comes back through ``ifft`` as complex128.
     """
     if half:
-        return Tensor3(np.fft.irfft(faces, n=p, axis=0))
+        imag = np.abs(faces[[0, -1] if p % 2 == 0 else [0]].imag).max(initial=0.0)
+        if imag == 0.0 or not imag > _SELF_CONJUGATE_RTOL * np.abs(faces).max():
+            return Tensor3(np.fft.irfft(faces, n=p, axis=0))
+        faces = mirror(faces, p)
     return Tensor3(np.fft.ifft(faces, axis=0))
 
 

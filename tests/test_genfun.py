@@ -261,6 +261,25 @@ def test_standard_tfn_real_in_real_out_on_every_path(rng, p):
             assert standard_tfn(a, f).exactly_real
 
 
+def test_standard_sqrt_of_a_negative_scalar_is_imaginary():
+    # face 0 is its own conjugate partner, so an imaginary f(face 0) must survive
+    out = standard_tfn(Tensor3([[[-4.0]]]), named_scalar_fn("sqrt"))
+    assert out.data.dtype == np.complex128
+    assert abs(out.data[0, 0, 0] - 2j) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
+def test_standard_sqrt_and_ln1p_identities_on_real_input(p):
+    # negative face eigenvalues send sqrt and ln1p off the real axis; the
+    # identities hold whichever root or branch each face takes
+    a = Tensor3(np.random.default_rng(p).standard_normal((p, 3, 3)))
+    x = standard_tfn(a, named_scalar_fn("sqrt"))
+    assert fnorm(tprod(x, x) - a) <= 1e-12 * fnorm(a)
+    want = identity(3, p) + a
+    back = standard_tfn(standard_tfn(a, named_scalar_fn("ln1p")), EXP)
+    assert fnorm(back - want) <= 1e-12 * fnorm(want)
+
+
 def test_gpower_basics(rng):
     a = rand3(rng, 2, 3, 2)
     e = isometry(tcsvd(a))

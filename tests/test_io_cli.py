@@ -272,6 +272,24 @@ def test_cli_apply_failed_cross_check_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", [[], ["--method", "spectral"]], ids=["default", "spectral"])
+def test_cli_nodes_outside_the_contour_route_is_usage_error(tmp_path, capsys, method):
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(FIXTURES / "tube4.txt"), "--fn", "square", *method,
+               "--nodes", "100", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_standard_sqrt_of_a_negative_scalar_writes_complex(tmp_path):
+    src, out = tmp_path / "a.txt", tmp_path / "out.txt"
+    write_text(src, Tensor3([[[-4.0]]]))
+    assert main(["apply", str(src), "--fn", "sqrt", "--standard", "--text", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["1 1 1 complex128", "0.0+2.0i"]
+
+
 @pytest.mark.parametrize("nodes", [[], ["--nodes", "256"]], ids=["default", "explicit"])
 def test_cli_apply_contour_refuses_an_unsettled_quadrature(tmp_path, capsys, nodes):
     # exp on the circle around 60 outgrows the result: with --nodes unset the

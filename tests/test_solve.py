@@ -48,7 +48,7 @@ from tprod.errors import (
 )
 
 from tprod import solve
-from tprod.solve import DEFAULT_NODES, _quad_nodes
+from tprod.solve import DEFAULT_NODES
 
 from conftest import rand3, rand_face_ranks, rand_low_rank
 
@@ -271,9 +271,10 @@ def test_standard_fn_contour_explicit_contour_must_enclose():
 def _per_node_sum(res, contour, coef):
     """The quadrature as one resolvent Tensor3 per node, summed node by node."""
     acc = Tensor3.zeros(res.csvd.n, res.csvd.m, res.csvd.p)
-    for zs, ws in _quad_nodes(contour):
-        for z, w in zip(zs, ws):
-            acc = acc + complex(coef(z) * w) * resolvent_eval(res, z)
+    k = contour.nodes_per_circle
+    for center, rad in contour.circles:
+        for z in center + rad * np.exp(2j * np.pi * np.arange(k) / k):
+            acc = acc + complex(coef(z) * (z - center) / k) * resolvent_eval(res, z)
     return acc
 
 
@@ -573,6 +574,29 @@ def test_default_nodes_refuse_what_256_cannot_resolve(monkeypatch, top):
     assert fnorm(out - gfun(a, exp)) > 1e-6 * fnorm(gfun(a, exp))
 
 
+def test_default_nodes_accept_at_256_below_the_refusal_bound(monkeypatch):
+    # exp on the circle around 50 reaches e^72.05: at 256 nodes the change from
+    # 128 is too large for the squared estimate to accept but below the refusal
+    passes = []
+    real = solve._node_sum
+
+    def spy(c, contour, coef, k, shift=0.0):
+        passes.append((k, real(c, contour, coef, k, shift)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(solve, "_node_sum", spy)
+    a = _diag(50.0)
+    exp = named_scalar_fn("exp")
+    out = gfun_contour(a, exp)
+    assert [k for k, _ in passes] == [64, 64, 128]  # 64 nodes, then 128, then 256
+    (_, first), (_, turn64), (_, turn128) = passes
+    s128 = 0.5 * (first.sum(axis=0) + turn64.sum(axis=0))
+    s256 = 0.5 * (s128 + turn128.sum(axis=0))
+    estimate = np.linalg.norm(s256 - s128) / np.linalg.norm(s256)
+    assert 1e-7 < estimate <= 1e-6
+    assert fnorm(out - gfun(a, exp)) <= 1e-6 * fnorm(gfun(a, exp))
+
+
 def test_explicit_nodes_skip_the_estimate(rng, monkeypatch):
     a = rand3(rng, 3, 3, 4)
     chosen = _chosen_nodes(monkeypatch)
@@ -752,3 +776,45 @@ def test_contour_oracles_stay_complex_off_the_real_axis(rng):
     # and complex input
     c = _scaled(rng, 3, 4, True)
     assert standard_fn_contour(c, exp).data.dtype == np.complex128
+
+
+@pytest.mark.parametrize("p", [1, 4, 5])
+def test_standard_fn_contour_runs_on_the_half_spectrum_of_real_input(rng, monkeypatch, p):
+    seen = {}
+    to_faces, from_faces, eigvals = solve.to_faces, solve.from_faces, np.linalg.eigvals
+
+    def spy_to(*tensors, allow_half):
+        half, stacks = to_faces(*tensors, allow_half=allow_half)
+        seen["transform"] = (half, [len(s) for s in stacks])
+        return half, stacks
+
+    def spy_eigvals(x):
+        seen["eigvals"] = len(x)
+        return eigvals(x)
+
+    def spy_from(faces, p, half):
+        seen["kernel"] = len(faces)
+        return from_faces(faces, p, half)
+
+    monkeypatch.setattr(solve, "to_faces", spy_to)
+    monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+    monkeypatch.setattr(solve, "from_faces", spy_from)
+    a, c = _scaled(rng, 3, p, False), _scaled(rng, 3, p, True)
+    vec = rand3(rng, 3, 1, p)
+    exp = named_scalar_fn("exp")
+    rot = scalar_fn(lambda z: 1j * np.asarray(z), 0.0, "rot")
+    h = p // 2 + 1
+    cases = [
+        (lambda: standard_fn_contour(a, exp), True, [h]),
+        (lambda: standard_fn_contour(a, exp, b=vec), True, [h, h]),
+        (lambda: standard_fn_contour(a, exp, contour=Contour(((0j, 5.0),), 64)), True, [h]),
+        (lambda: standard_fn_contour(a, exp, contour=Contour(((0.1j, 5.0),), 64)), False, [p]),
+        (lambda: standard_fn_contour(a, rot), False, [p]),
+        (lambda: standard_fn_contour(c, exp), False, [p]),
+        (lambda: standard_fn_contour(a, exp, b=rand3(rng, 3, 1, p, cplx=True)), False, [p, p]),
+    ]
+    for run, half, lengths in cases:
+        seen.clear()
+        run()
+        assert seen == {"transform": (half, lengths), "eigvals": lengths[0],
+                        "kernel": lengths[0]}

@@ -22,7 +22,7 @@ from tprod import (
 )
 
 from tprod.errors import NonFinite
-from tprod.spectral import from_faces, to_faces
+from tprod.spectral import from_faces, mirror, to_faces
 
 from conftest import rand3, rand_low_rank
 
@@ -40,6 +40,31 @@ def test_face_round_trip(rng):
     half, (faces,) = to_faces(a)
     b = from_faces(faces, a.p, half)
     assert fnorm(b - a) <= 1e-13 * fnorm(a)
+
+
+def _self_conjugate(p):
+    return [0, p // 2] if p % 2 == 0 else [0]
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 6])
+def test_from_faces_keeps_an_imaginary_self_conjugate_face(rng, p):
+    half = np.fft.rfft(rng.standard_normal((p, 2, 3)), axis=0)
+    half[_self_conjugate(p)[-1]] += 0.5j * rng.standard_normal((2, 3))
+    out = from_faces(half, p, half=True)
+    assert out.data.dtype == np.complex128
+    want = np.fft.ifft(mirror(half, p), axis=0)
+    assert np.abs(out.data - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 6])
+@pytest.mark.parametrize("rel", [1e-16, 2e-8])
+def test_from_faces_drops_roundoff_on_self_conjugate_faces(rng, p, rel):
+    # up to the imaginary parts an eigendecomposition at its conditioning limit leaves
+    half = np.fft.rfft(rng.standard_normal((p, 2, 3)), axis=0)
+    half[_self_conjugate(p)] += 1j * rel * np.abs(half).max()
+    out = from_faces(half, p, half=True)
+    assert out.data.dtype == np.float64
+    assert np.array_equal(out.data, np.fft.irfft(half, n=p, axis=0))
 
 
 def test_faces_of_tube(tube4):
