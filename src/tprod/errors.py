@@ -51,8 +51,8 @@ class FnDomainError(TprodError):
 
 class DefectiveFace(TprodError):
     """A face too far from normal for its route: ill-conditioned eigenvectors and
-    no series fallback, a fallback Taylor sum that cancels, or an exp whose
-    squarings cannot be trusted."""
+    no Taylor series of f about the face's mean eigenvalue, a Taylor sum that
+    cancels, or an exp whose squarings cannot be trusted."""
 
 
 class SeriesDivergence(TprodError):

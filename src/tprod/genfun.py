@@ -12,13 +12,19 @@ scaling and squaring method for the matrix exponential revisited", SIAM J.
 Matrix Anal. Appl. 26(4)), batched over the face stack. It needs only
 matrix products and one solve per face, so it stays accurate on defective
 and non-normal faces, where eigenvectors lose digits. Every other function
-goes through the eigendecomposition of each face.
+goes through the eigendecomposition of each face. A face whose eigenvectors
+fail the conditioning guard, such as a defective one, takes the Taylor sum
+of f about its own mean eigenvalue, the atomic-block step of Schur-Parlett
+(Davies & Higham 2003, "A Schur-Parlett algorithm for computing matrix
+functions", SIAM J. Matrix Anal. Appl. 25(2)): short and exact when the
+eigenvalues cluster about their mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,8 +48,8 @@ from .spectral import _CHUNK, _EPS, from_faces, isometry, tcsvd, to_faces
 _SERIES_CAP = 500
 _SERIES_RTOL = 1e-12
 # eigenvector matrices of a non-Hermitian face above this condition number
-# send the face to its power series, which is refused when its rounding
-# error estimate eps * max_k ||c_k D^k|| / ||sum|| exceeds _CANCEL_LIMIT
+# send the face to f's Taylor sum about its mean eigenvalue mu, refused when its
+# rounding error estimate eps * max_k ||c_k (D - mu I)^k|| / ||sum|| exceeds _CANCEL_LIMIT
 _COND_LIMIT = 1e8
 _CANCEL_LIMIT = 1e-10
 # Pade [13/13] coefficients b_0..b_13 of exp, and the largest ||D|| at which
@@ -59,23 +65,25 @@ _THETA13 = 5.371920351148152
 _MAX_SAVED = 128
 
 
-def _power_series(coeff, x, one, mul, norm, cap, rtol):
-    """Sum coeff(k) x^k for k = 0..cap: ``(sum, tail, peak)``.
+def _power_series(series, x, one, mul, norm, cap, rtol):
+    """Sum series.coeff(k) x^k for k = 0..cap: ``(sum, tail, peak)``.
 
-    Stops after two consecutive terms whose size relative to the partial
-    sum is at most ``rtol``, so alternating series with zero coefficients in
-    between are not truncated early. ``tail`` is the larger relative size of
-    the last two terms, so with ``cap >= 2`` the sum settled exactly when
-    ``tail <= rtol``. ``peak`` is the largest term size: the sum's rounding
-    error is about eps * peak. ``one`` is x^0 and ``mul(pw, x)`` the next
-    power. A sum that overflows returns at once with ``tail`` infinite.
+    A finite series is summed exactly to its degree, with ``tail`` 0. An
+    infinite one stops after two consecutive terms whose size relative to
+    the partial sum is at most ``rtol``, so alternating series with zero
+    coefficients in between are not truncated early. ``tail`` is the larger
+    relative size of the last two terms, so with ``cap >= 2`` the sum
+    settled exactly when ``tail <= rtol``. ``peak`` is the largest term
+    size: the sum's rounding error is about eps * peak. ``one`` is x^0 and
+    ``mul(pw, x)`` the next power. An overflowed sum returns an infinite ``tail``.
     """
-    acc, pw = complex(coeff(0)) * one, one
-    ratio, tail, peak = 0.0, np.inf, norm(acc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cap + 1):
+    last = cap if series.degree is None else min(series.degree, cap)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        acc, pw = complex(series.coeff(0)) * one, one
+        ratio, tail, peak = 0.0, np.inf, norm(acc)
+        for k in range(1, last + 1):
             pw = mul(pw, x)
-            term = complex(coeff(k)) * pw
+            term = complex(series.coeff(k)) * pw
             acc = acc + term
             size = norm(acc)
             if not np.isfinite(size):
@@ -84,34 +92,42 @@ def _power_series(coeff, x, one, mul, norm, cap, rtol):
             term_size = norm(term)
             prev, ratio = ratio, term_size / max(size, 1e-300)
             tail, peak = max(ratio, prev), max(peak, term_size)
-            if k > 1 and prev <= rtol and ratio <= rtol:
+            if series.degree is None and k > 1 and prev <= rtol and ratio <= rtol:
                 break
-    return acc, tail, peak
+    return acc, (0.0 if last == series.degree else tail), peak
 
 
 @dataclass(frozen=True)
 class Series:
-    """Power series around 0: ``coeff(k)`` is the coefficient of z^k."""
+    """Power series about z0: ``coeff(k)`` multiplies (z - z0)^k, and ``eval`` takes z - z0.
+
+    ``degree`` is the last coefficient of a finite series, None otherwise.
+    """
 
     coeff: Callable[[int], complex]
     radius: float
+    degree: Optional[int] = None
 
     @classmethod
     def from_coeffs(cls, coeffs):
         """The polynomial with these low-order-first coefficients (an entire series)."""
         arr = np.asarray(coeffs, dtype=np.complex128)
-        return cls(coeff=lambda k: complex(arr[k]) if k < arr.size else 0.0, radius=np.inf)
+        return cls(lambda k: complex(arr[k]) if k < arr.size else 0.0, np.inf, arr.size - 1)
 
     def eval(self, z):
         """Partial sums of the series at z (array ok); guards the radius."""
         z = np.asarray(z, dtype=np.complex128)
         if np.any(np.abs(z) >= self.radius):
             raise RadiusViolation(f"|z| up to {np.abs(z).max():.3g} >= radius {self.radius:.3g}")
-        acc, tail, _ = _power_series(self.coeff, z, np.ones_like(z), np.multiply,
+        acc, tail, _ = _power_series(self, z, np.ones_like(z), np.multiply,
                                      lambda v: np.abs(v).max(), _SERIES_CAP, _SERIES_RTOL)
         if not tail <= _SERIES_RTOL:
             raise SeriesDivergence(f"series did not settle within {_SERIES_CAP} terms")
         return acc
+
+
+def _only_at_zero(series):
+    return lambda z0: series if z0 == 0 else None
 
 
 @dataclass(frozen=True)
@@ -120,16 +136,20 @@ class ScalarFn:
 
     ``fn`` must accept numpy arrays (real or complex). ``value_at_zero`` is
     the declared f(0) used to gate zero singular values inside the rank
-    window. ``deriv(z0, k)`` gives the k-th derivative for Taylor mode, and
-    ``deriv_radius(z0)`` the local disc of convergence (None means entire).
+    window. ``taylor(z0)`` is f's Taylor :class:`Series` about z0, with
+    coefficients f^(k)(z0) / k!, or None where f has none there; Taylor
+    mode and the standard T-function's guard-failing faces sum it.
     """
 
     fn: Callable
     value_at_zero: complex
     name: str = ""
-    series: Optional[Series] = None
-    deriv: Optional[Callable[[complex, int], complex]] = None
-    deriv_radius: Optional[Callable[[complex], float]] = None
+    taylor: Callable[[complex], Optional[Series]] = lambda z0: None
+
+    @property
+    def series(self) -> Optional[Series]:
+        """f's series about 0, ``taylor(0)``: rebuilt on each access."""
+        return self.taylor(0)
 
     def __call__(self, x):
         return self.fn(np.asarray(x))
@@ -147,49 +167,39 @@ def polynomial(coeffs) -> ScalarFn:
     def ev(z):
         return np.polyval(arr[::-1], np.asarray(z, dtype=np.complex128))
 
-    def dv(z0, k):
-        return np.polyval(np.polyder(arr[::-1], k), z0)
+    def taylor(z0):
+        # p(z0 + t) by Horner's rule in polynomial arithmetic
+        shifted = np.polynomial.Polynomial(arr)(np.polynomial.Polynomial([z0, 1.0]))
+        return Series.from_coeffs(shifted.coef)
 
-    return ScalarFn(ev, complex(arr[0]), name="poly", series=Series.from_coeffs(arr),
-                    deriv=dv)
-
-
-def _cyclic_deriv(funcs):
-    # derivative cycle for sin/cos style functions
-    def dv(z0, k):
-        return funcs[k % len(funcs)](z0)
-
-    return dv
+    return ScalarFn(ev, complex(arr[0]), name="poly", taylor=taylor)
 
 
-def _ln1p_deriv(z0, k):
-    if k == 0:
-        return complex(np.log(1.0 + complex(z0)))
-    return (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + z0) ** k
-
-
-def _inv_shift(z):
-    return 1.0 / (1.0 + np.asarray(z))
-
-
-def _inv_shift_deriv(z0, k):
-    return (-1.0) ** k * math.factorial(k) / (1.0 + z0) ** (k + 1)
-
-
+@lru_cache(maxsize=1024)
 def _inv_factorial(k):
     # 1 / k! overflows the int-to-float conversion past k = 170
     return 1.0 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(k + 1))
 
 
-def _alt(parity_num, parity_den):
-    # coefficient helper for the trig series
-    def c(k):
-        if k % 2 != parity_num:
-            return 0.0
-        j = k // 2
-        return (-1.0) ** j * _inv_factorial(k) if parity_den else _inv_factorial(k)
+def _cyclic(f, df, sign):
+    # exp, sin, cos, sinh, cosh: f'' = sign * f, so f^(k)(z0) cycles through f, f', sign f, sign f'
+    def taylor(z0):
+        v = (f(z0), df(z0))
+        # + 0.0 turns -0.0 into 0.0, so a vanishing coefficient is exactly +0.0
+        cycle = [c + 0.0 for c in (*v, sign * v[0], sign * v[1])]
+        return Series(lambda k: cycle[k % 4] * _inv_factorial(k), np.inf)
 
-    return c
+    return taylor
+
+
+def _ln1p_taylor(z0):
+    w = np.add(1.0, z0)
+    return Series(lambda k: np.log(w) if k == 0 else (-1.0) ** (k - 1) / (k * w**k), abs(w))
+
+
+def _inv_shift_taylor(z0):
+    w = np.add(1.0, z0)
+    return Series(lambda k: (-1.0) ** k / w ** (k + 1), abs(w))
 
 
 def power_fn(alpha) -> ScalarFn:
@@ -200,12 +210,8 @@ def power_fn(alpha) -> ScalarFn:
         raise FnDomainError(f"power exponent must be a number, got {alpha!r}") from None
     if not np.isfinite(alpha):
         raise FnDomainError(f"power exponent must be finite, got {alpha}")
-    if alpha > 0:
-        f0 = 0.0
-    elif alpha == 0:
-        f0 = 1.0
-    else:
-        f0 = np.inf
+    f0 = 0.0 if alpha > 0 else 1.0 if alpha == 0 else np.inf
+    degree = int(alpha) if alpha == int(alpha) and alpha >= 0 else None
 
     def ev(z):
         z = np.asarray(z)
@@ -213,21 +219,18 @@ def power_fn(alpha) -> ScalarFn:
             z = z.astype(np.complex128)
         return z**alpha
 
-    def dv(z0, k):
-        if alpha == int(alpha) and alpha >= 0 and k > alpha:
-            return 0.0
-        c = 1.0
-        for j in range(k):
-            c *= alpha - j
-        return c * complex(z0) ** (alpha - k)
+    def taylor(z0):
+        if z0 == 0:
+            return None if degree is None else Series.from_coeffs(np.eye(degree + 1)[degree])
+        coeffs = [ev(z0)]
 
-    series = None
-    if alpha == int(alpha) and alpha >= 0:
-        coeffs = np.zeros(int(alpha) + 1)
-        coeffs[int(alpha)] = 1.0
-        series = Series.from_coeffs(coeffs)
-    return ScalarFn(ev, f0, name=f"power({alpha:g})", series=series, deriv=dv,
-                    deriv_radius=(None if series is not None else (lambda z0: abs(z0))))
+        def coeff(k):  # binom(alpha, k) z0^(alpha - k), the binomial as a running product
+            for j in range(len(coeffs) - 1, k):
+                coeffs.append(coeffs[j] * (alpha - j) / ((j + 1) * z0))
+            return coeffs[k]
+        return Series(coeff, np.inf if degree is not None else abs(z0), degree)
+
+    return ScalarFn(ev, f0, name=f"power({alpha:g})", taylor=taylor)
 
 
 def _sign_eval(z):
@@ -240,29 +243,16 @@ def _sign_eval(z):
 
 
 NAMED_FUNCTIONS = {
-    "exp": ScalarFn(np.exp, 1.0, "exp",
-                    Series(_inv_factorial, np.inf),
-                    deriv=lambda z0, k: np.exp(z0)),
-    "ln1p": ScalarFn(np.log1p, 0.0, "ln1p",
-                     Series(lambda k: 0.0 if k == 0 else (-1.0) ** (k + 1) / k, 1.0),
-                     deriv=_ln1p_deriv,
-                     deriv_radius=lambda z0: abs(1.0 + z0)),
-    "sin": ScalarFn(np.sin, 0.0, "sin", Series(_alt(1, True), np.inf),
-                    deriv=_cyclic_deriv([np.sin, np.cos, lambda z: -np.sin(z),
-                                         lambda z: -np.cos(z)])),
-    "cos": ScalarFn(np.cos, 1.0, "cos", Series(_alt(0, True), np.inf),
-                    deriv=_cyclic_deriv([np.cos, lambda z: -np.sin(z),
-                                         lambda z: -np.cos(z), np.sin])),
-    "sinh": ScalarFn(np.sinh, 0.0, "sinh", Series(_alt(1, False), np.inf),
-                     deriv=_cyclic_deriv([np.sinh, np.cosh])),
-    "cosh": ScalarFn(np.cosh, 1.0, "cosh", Series(_alt(0, False), np.inf),
-                     deriv=_cyclic_deriv([np.cosh, np.sinh])),
+    "exp": ScalarFn(np.exp, 1.0, "exp", _cyclic(np.exp, np.exp, 1)),
+    "ln1p": ScalarFn(np.log1p, 0.0, "ln1p", _ln1p_taylor),
+    "sin": ScalarFn(np.sin, 0.0, "sin", _cyclic(np.sin, np.cos, -1)),
+    "cos": ScalarFn(np.cos, 1.0, "cos", _cyclic(np.cos, lambda z: -np.sin(z), -1)),
+    "sinh": ScalarFn(np.sinh, 0.0, "sinh", _cyclic(np.sinh, np.cosh, 1)),
+    "cosh": ScalarFn(np.cosh, 1.0, "cosh", _cyclic(np.cosh, np.sinh, 1)),
     "sqrt": power_fn(0.5),
     "sign": ScalarFn(_sign_eval, 0.0, "sign"),
-    "inverse_shift": ScalarFn(_inv_shift, 1.0, "inverse_shift",
-                              Series(lambda k: (-1.0) ** k, 1.0),
-                              deriv=_inv_shift_deriv,
-                              deriv_radius=lambda z0: abs(1.0 + z0)),
+    "inverse_shift": ScalarFn(lambda z: 1.0 / (1.0 + np.asarray(z)), 1.0, "inverse_shift",
+                              _inv_shift_taylor),
     "id": power_fn(1),
     "square": power_fn(2),
     "cube": power_fn(3),
@@ -316,15 +306,23 @@ def gfun(a: Tensor3, f: ScalarFn) -> Tensor3:
 
 
 def _matrix_series(d, f, face_index):
-    if f.series is None:
-        raise DefectiveFace(f"face {face_index} defective and no series fallback")
-    rho = float(np.abs(np.linalg.eigvals(d)).max())
-    if rho >= f.series.radius:
-        raise SeriesDivergence(
-            f"face {face_index}: spectral radius {rho:.3g} >= series radius {f.series.radius:.3g}"
-        )
-    acc, tail, peak = _power_series(f.series.coeff, d, np.eye(d.shape[0], dtype=np.complex128),
-                                    np.matmul, np.linalg.norm, _SERIES_CAP, _SERIES_RTOL)
+    """f(D) as the Taylor sum of ``f.taylor(mu)`` in powers of D - mu I, mu = tr(D) / n.
+
+    Refused when f has no series about mu, when an eigenvalue lies outside
+    its disc, or when the sum does not settle or cancels (``_CANCEL_LIMIT``).
+    """
+    n = d.shape[0]
+    mu = np.trace(d) / n
+    series = f.taylor(mu)
+    if series is None:
+        raise DefectiveFace(f"face {face_index} defective and {f.name or 'f'} has no Taylor series")
+    spread = float(np.abs(np.linalg.eigvals(d) - mu).max())
+    if spread >= series.radius:
+        raise SeriesDivergence(f"face {face_index}: eigenvalue spread {spread:.3g} about the "
+                               f"mean >= series radius {series.radius:.3g}")
+    eye = np.eye(n, dtype=np.complex128)
+    acc, tail, peak = _power_series(series, d - mu * eye, eye, np.matmul, np.linalg.norm,
+                                    _SERIES_CAP, _SERIES_RTOL)
     if not tail <= _SERIES_RTOL:
         raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
     err = _EPS * peak / max(np.linalg.norm(acc), 1e-300)
@@ -344,7 +342,7 @@ def _matrix_functions(faces, f):
 
     Hermitian faces go through one batched ``eigh``, the others through one
     batched ``eig`` whose eigenvector matrices must pass the ``_COND_LIMIT``
-    guard; faces that fail it take the power series one at a time. Errors
+    guard; faces that fail it take ``_matrix_series`` one at a time. Errors
     come from the lowest-indexed failing face, as a face-by-face loop would
     raise them.
     """
@@ -479,7 +477,7 @@ def standard_tfn(a: Tensor3, f: ScalarFn) -> Tensor3:
     2005; see the module docstring). Any other f takes one batched
     eigendecomposition per call over the whole face stack (``eigh`` for the
     Hermitian faces, ``eig`` for the rest) with a conditioning guard on each
-    face; a declared power series is the fallback for the faces that fail it.
+    face; the faces that fail it take f's Taylor sum about their mean eigenvalue.
     """
     if a.m != a.n:
         raise DimMismatch(f"standard T-function needs an F-square tensor, got {a.shape}")
@@ -504,37 +502,26 @@ def gpower(a: Tensor3, k: int) -> Tensor3:
     return c.rebuild(vals)
 
 
-def _taylor_coeff(f, z0, k):
-    if z0 == 0 and f.series is not None:
-        return complex(f.series.coeff(k))
-    if f.deriv is None:
-        raise FnDomainError(f"{f.name or 'f'} has no derivative access at z0 = {z0}")
-    return complex(f.deriv(z0, k)) * _inv_factorial(k)
-
-
 def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-12) -> Tensor3:
     """Generalized function by Taylor expansion in generalized powers of (A - z0 E).
 
-    Valid while every windowed singular value stays inside the disc of
-    convergence around z0; must agree with :func:`gfun` to about 10 * tol.
+    Sums ``f.taylor(z0)``. Valid while every windowed singular value stays
+    inside its disc of convergence; must agree with :func:`gfun` to about
+    10 * tol.
     """
+    series = f.taylor(z0)
+    if series is None:
+        raise FnDomainError(f"{f.name or 'f'} has no Taylor series about z0 = {z0}")
     c = tcsvd(a)
-    radius = None
-    if z0 == 0 and f.series is not None:
-        radius = f.series.radius
-    elif f.deriv_radius is not None:
-        radius = f.deriv_radius(z0)
     dist = np.abs(c.sigma - z0)
-    if radius is not None and (dist >= radius).any():
-        raise RadiusViolation(
-            f"singular value at distance {dist.max():.3g} from z0 exceeds radius {radius:.3g}"
-        )
+    if (dist >= series.radius).any():
+        raise RadiusViolation(f"singular value at distance {dist.max():.3g} from z0 exceeds "
+                              f"radius {series.radius:.3g}")
 
     def taylor_sum(x):
         shifted = x.astype(np.complex128) - z0
-        acc, tail, _ = _power_series(lambda k: _taylor_coeff(f, z0, k), shifted,
-                                     np.ones_like(shifted), np.multiply, np.linalg.norm,
-                                     max_terms, tol)
+        acc, tail, _ = _power_series(series, shifted, np.ones_like(shifted), np.multiply,
+                                     np.linalg.norm, max_terms, tol)
         # a vanishing coefficient can make the very last term tiny while the
         # series still diverges, so judge the last two terms together
         if not tail <= 100 * tol:
@@ -562,14 +549,15 @@ def even_odd_split(f: ScalarFn):
     Then f_gen(A) = g1_gen(A * A^H) * E + g2_gen(A * A^H) * A: the even and
     odd halves act through the Gram tensor.
     """
-    if f.series is None:
-        raise FnDomainError(f"{f.name or 'f'} has no power series to split")
     base = f.series
+    if base is None:
+        raise FnDomainError(f"{f.name or 'f'} has no power series to split")
     r2 = base.radius**2 if np.isfinite(base.radius) else np.inf
-    s1 = Series(lambda k: base.coeff(2 * k), r2)
-    s2 = Series(lambda k: base.coeff(2 * k + 1), r2)
-    g1 = ScalarFn(s1.eval, complex(base.coeff(0)), name=f"{f.name}_even_gram", series=s1)
-    g2 = ScalarFn(s2.eval, complex(base.coeff(1)), name=f"{f.name}_odd_gram", series=s2)
+    deg = base.degree
+    s1 = Series(lambda k: base.coeff(2 * k), r2, None if deg is None else deg // 2)
+    s2 = Series(lambda k: base.coeff(2 * k + 1), r2, None if deg is None else max(deg - 1, 0) // 2)
+    g1 = ScalarFn(s1.eval, complex(base.coeff(0)), f"{f.name}_even_gram", _only_at_zero(s1))
+    g2 = ScalarFn(s2.eval, complex(base.coeff(1)), f"{f.name}_odd_gram", _only_at_zero(s2))
     return g1, g2
 
 
@@ -584,8 +572,9 @@ def odd_part(f: ScalarFn) -> ScalarFn:
         x = np.asarray(x, dtype=np.complex128)
         return x * g2(x * x)
 
-    series = Series(lambda k: f.series.coeff(k) if k % 2 else 0.0, f.series.radius)
-    return ScalarFn(ev, 0.0, name=f"{f.name}_odd", series=series)
+    base = f.series
+    series = Series(lambda k: base.coeff(k) if k % 2 else 0.0, base.radius, base.degree)
+    return ScalarFn(ev, 0.0, f"{f.name}_odd", _only_at_zero(series))
 
 
 def gfun_series_split(a: Tensor3, f: ScalarFn) -> Tensor3:

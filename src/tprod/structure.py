@@ -347,7 +347,7 @@ def _require_odd(f: ScalarFn):
         raise HypothesisViolation(f"{f.name or 'f'} must be odd: f(0) != 0")
     xs = np.array([0.31, 0.77, 1.43])
     # inside a finite series radius, so a series-backed f is evaluable at either sign
-    radius = np.inf if f.series is None else f.series.radius
+    radius = getattr(f.series, "radius", np.inf)
     xs *= min(1.0, 0.9 * radius / xs[-1])
     try:
         lhs = np.asarray(f(-xs), dtype=np.complex128)
@@ -370,10 +370,11 @@ def _require_group_fn(f: ScalarFn):
 
 
 def _require_nonneg_odd_series(f: ScalarFn, want_fixed_one=False):
-    if f.series is None:
+    series = f.series
+    if series is None:
         raise HypothesisViolation(f"{f.name or 'f'} needs a power series with odd terms only")
     for k in range(0, 42):
-        c = complex(f.series.coeff(k))
+        c = complex(series.coeff(k))
         if k % 2 == 0 and abs(c) > 1e-14:
             raise HypothesisViolation(f"{f.name or 'f'} has a nonzero even coefficient a_{k}")
         if k % 2 == 1 and (c.real < -1e-14 or abs(c.imag) > 1e-14):

@@ -17,7 +17,7 @@ REMOVED = {
     "random_cone_member": {"rank"},
     "Series.from_coeffs": {"radius"},
     "FormKind": {"_inv"},
-    "ScalarFn": {"odd_completed"},
+    "ScalarFn": {"odd_completed", "series", "deriv", "deriv_radius"},
     "_cluster": {"rtol"},
     "_sinkhorn_block_circulant": {"max_sweeps", "tol"},
     "standard_tfn": {"force_series"},

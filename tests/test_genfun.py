@@ -44,9 +44,9 @@ from tprod.errors import (
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
-from tprod.io import write_tensor
+from tprod.io import read_tensor, write_tensor
 
-from conftest import dense_gmf, rand3, rand_face_ranks, rand_low_rank
+from conftest import FIXTURES, dense_gmf, rand3, rand_face_ranks, rand_low_rank
 
 SQ = named_scalar_fn("square")
 SIN = named_scalar_fn("sin")
@@ -343,20 +343,36 @@ def test_standard_series_fallback_accurate_sum_is_kept(name, dense):
 @pytest.mark.parametrize("lam", [-20.0, -30.0])
 @pytest.mark.parametrize("name", ["sin", "cos"])
 def test_standard_series_fallback_refuses_a_cancelling_sum(p, lam, name):
-    # the alternating Taylor sum of sin or cos cancels on these faces (the sum
-    # read 1.2e-8 to 3.5e-4 from scipy), so the result is refused
-    with pytest.raises(DefectiveFace, match="face 0: Taylor sum cancels") as exc:
-        standard_tfn(first_slice(_jordan4(lam), p), named_scalar_fn(name))
-    assert exc.value.exit_code == 3
+    # the alternating Taylor sum about 0 cancels on these faces; the sum about
+    # the mean eigenvalue is short and exact
+    a = first_slice(_jordan4(lam), p)
+    dense = {"sin": scipy.linalg.sinm, "cos": scipy.linalg.cosm}[name]
+    assert _rel(bcirc(standard_tfn(a, named_scalar_fn(name))), dense(bcirc(a))) <= 1e-12
 
 
 def test_cli_refuses_a_cancelling_standard_sum(tmp_path, capsys):
+    # Jordan faces at -20 take the Taylor sum about their mean eigenvalue
     src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"
-    write_tensor(src, first_slice(_jordan4(-20.0), 4))
-    assert main(["apply", str(src), "--fn", "cos", "--standard", "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: face 0: Taylor sum cancels") and err.count("\n") == 1
-    assert not out.exists()
+    a = first_slice(_jordan4(-20.0), 4)
+    write_tensor(src, a)
+    assert main(["apply", str(src), "--fn", "cos", "--standard", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _rel(bcirc(read_tensor(out)), scipy.linalg.cosm(bcirc(a))) <= 1e-12
+
+
+def test_cli_standard_cube_of_jordan_faces(tmp_path):
+    src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"
+    a = first_slice(_jordan4(-10.0), 4)
+    write_tensor(src, a)
+    assert main(["apply", str(src), "--fn", "cube", "--standard", "--out", str(out)]) == 0
+    assert _rel(bcirc(read_tensor(out)), np.linalg.matrix_power(bcirc(a), 3)) <= 1e-15
+
+
+def test_standard_cube_of_a_jordan_face_is_exact():
+    # a finite series is summed to its degree, past its zero coefficients
+    a = first_slice(_jordan4(-10.0), 1)
+    assert np.array_equal(standard_tfn(a, named_scalar_fn("cube")).data[0],
+                          np.linalg.matrix_power(_jordan4(-10.0), 3))
 
 
 def _gpower_by_recurrence(a, k):
@@ -418,6 +434,54 @@ def test_taylor_offcenter_exp(rng):
     assert fnorm(out - gfun(a, EXP)) <= 1e-9 * fnorm(out)
 
 
+def test_finite_series_sums_past_zero_coefficients():
+    assert power_fn(3).series.eval(0.5) == 0.125
+
+
+@pytest.mark.parametrize("f, z0", [
+    (named_scalar_fn("cube"), 0.0), (power_fn(4), 0.0), (polynomial([0, 0, 0, 1]), 0.0),
+    (polynomial([1, 0, 0, 0, 2]), 0.0), (polynomial([1, -4, 6, -4, 1]), 1.0),
+], ids=["cube", "power4", "poly_cube", "poly_1_0_0_0_2", "poly_shifted"])
+def test_taylor_of_a_polynomial_is_exact(rng, f, z0):
+    a = rand3(rng, 3, 3, 4)
+    want = gfun(a, f)
+    assert fnorm(gfun_taylor(a, f, z0=z0) - want) <= 1e-12 * fnorm(want)
+
+
+def test_series_split_of_a_sparse_polynomial(rng):
+    # x + 2x^7: the odd Gram half 1 + 2w^3 has two zero coefficients in a row
+    a = rand3(rng, 3, 3, 4)
+    f = polynomial([0, 1, 0, 0, 0, 0, 0, 2])
+    want = gfun(a, f)
+    assert fnorm(gfun_series_split(a, f) - want) <= 1e-12 * fnorm(want)
+
+
+@pytest.mark.parametrize("name, diag, z0", [
+    ("ln1p", [1.85, 0.3], 0.5), ("inverse_shift", [1.85, 0.3], 0.5), ("sqrt", [1.9, 0.12], 1.0),
+])
+def test_taylor_off_zero_needs_no_factorials(name, diag, z0):
+    # f^(k)(z0) alone overflows a float here, long before f^(k)(z0) / k! does
+    a, f = Tensor3(np.diag(diag)[None]), named_scalar_fn(name)
+    want = gfun(a, f)
+    assert fnorm(gfun_taylor(a, f, z0=z0) - want) <= 1e-10 * fnorm(want)
+
+
+@pytest.mark.parametrize("args", [["--fn", "cube"], ["--poly", "0,0,0,1"]])
+def test_cli_series_route_of_a_cube(tmp_path, capsys, args):
+    out = tmp_path / "x.tt3a"
+    cmd = ["apply", str(FIXTURES / "tube4.txt"), *args, "--method", "series", "--out", str(out)]
+    assert main(cmd) == 0
+    assert float(capsys.readouterr().out.split("cross-check vs spectral:")[1]) <= 1e-12
+
+
+def test_cli_series_route_of_ln1p_off_zero(tmp_path, capsys):
+    src, out = tmp_path / "d.tt3a", tmp_path / "x.tt3a"
+    write_tensor(src, Tensor3(np.diag([1.85, 0.3])[None]))
+    cmd = ["apply", str(src), "--fn", "ln1p", "--method", "series", "--z0", "0.5", "--out", str(out)]
+    assert main(cmd) == 0
+    assert float(capsys.readouterr().out.split("cross-check vs spectral:")[1]) <= 1e-10
+
+
 def test_taylor_zero_tensor():
     out = gfun_taylor(Tensor3.zeros(2, 2, 3), SIN, z0=0.0)
     assert fnorm(out) == 0.0
@@ -474,13 +538,16 @@ def test_series_overflow_raises_without_warnings(fn):
 
 @pytest.mark.parametrize("fn", ["sin", "cosh"])
 def test_standard_series_fallback_overflow_raises_without_warnings(fn):
-    # a Jordan face fails the eigenvector guard, and 200**k overflows before
-    # its Taylor sum settles
+    # a Jordan face fails the eigenvector guard; 200**k would overflow a sum
+    # about 0, while about the mean 200 the sum stops after two terms
     a = Tensor3(np.array([[[200.0, 1.0], [0.0, 200.0]]]))
+    f = named_scalar_fn(fn)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SeriesDivergence, match="face 0: series did not settle"):
-            standard_tfn(a, named_scalar_fn(fn))
+        got = standard_tfn(a, f).data[0]
+    df = {"sin": np.cos, "cosh": np.sinh}[fn]
+    want = np.array([[f(200.0), df(200.0)], [0.0, f(200.0)]])
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_series_sum_overflow_is_not_settled():
@@ -507,9 +574,16 @@ def test_series_eval_unsettled_within_cap():
 
 
 def test_standard_series_face_outside_radius():
-    a = Tensor3(np.array([[[1.5, 1.0], [0.0, 1.5]]]))  # a Jordan face fails the guard
-    with pytest.raises(SeriesDivergence, match="face 0: spectral radius 1.5 >= series radius 1"):
+    # a Jordan face fails the guard; ln1p's disc about its mean 1.5 has radius 2.5
+    d = np.array([[1.5, 1.0], [0.0, 1.5]])
+    got = standard_tfn(Tensor3(d[None]), named_scalar_fn("ln1p")).data[0]
+    assert _rel(got, scipy.linalg.logm(np.eye(2) + d)) <= 1e-15
+    # the eigenvalue -1.5 puts the branch point -1 inside the disc about the mean 0.75
+    a = Tensor3(np.array([[[-1.5, 1e10], [0.0, 3.0]]]))
+    with pytest.raises(SeriesDivergence, match="face 0: eigenvalue spread 2.25 about the "
+                                               "mean >= series radius 1.75") as exc:
         standard_tfn(a, named_scalar_fn("ln1p"))
+    assert exc.value.exit_code == 3
 
 
 def test_named_gfun_gates(rng):
@@ -638,4 +712,4 @@ def test_named_derivatives_match_finite_differences():
         f = named_scalar_fn(name)
         z0 = 0.4
         fd = (complex(f(np.array([z0 + h]))[0]) - complex(f(np.array([z0 - h]))[0])) / (2 * h)
-        assert abs(complex(f.deriv(z0, 1)) - fd) <= 1e-7 * max(1.0, abs(fd))
+        assert abs(complex(f.taylor(z0).coeff(1)) - fd) <= 1e-7 * max(1.0, abs(fd))
