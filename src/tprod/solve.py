@@ -1,16 +1,19 @@
 """Moore-Penrose inverse, least squares, tensor equations, and contour oracles.
 
-The production paths are spectral (compact T-SVD). The Cauchy-integral
-forms are implemented as independent cross-checks: trapezoidal quadrature
-on circles, which converges geometrically for analytic integrands. The
-resolvent is linear in its values 1/(z - sigma), so the resolvent oracles
-sum the quadrature on the singular values in a few chunked array passes and
-rebuild once per call. f must be analytic on each closed disc, as the Cauchy
-formula assumes; a circle then adds nothing to a value it does not enclose,
-so each value is summed over the nodes of its own circle only. Dropping the
-other circles' roundoff, on scaled Gaussian 8x8x64 input, took gfun_contour
-from up to 6e-14 to 3e-16 of gfun, and pinv_contour from up to 1e-14 to
-3e-16 of pinv.
+The production paths work on the DFT faces (Kilmer & Martin 2011): pinv,
+lstsq and solve_axb transform each operand, apply the face pseudoinverses
+A_k^+ = V_k S_k^+ U_k^H of one batched SVD per operand and take one inverse
+transform; solve_axb's residual is read on the faces by Parseval. The
+Cauchy-integral forms are implemented as independent cross-checks:
+trapezoidal quadrature on circles, which converges geometrically for
+analytic integrands. The resolvent is linear in its values 1/(z - sigma),
+so the resolvent oracles sum the quadrature on the singular values in a few
+chunked array passes and rebuild once per call. f must be analytic on each
+closed disc, as the Cauchy formula assumes; a circle then adds nothing to a
+value it does not enclose, so each value is summed over the nodes of its
+own circle only. Dropping the other circles' roundoff, on scaled Gaussian
+8x8x64 input, took gfun_contour from up to 6e-14 to 3e-16 of gfun, and
+pinv_contour from up to 1e-14 to 3e-16 of pinv.
 
 An explicit ``nodes=`` (or ``contour=``) is used exactly. Without one, a
 resolvent oracle picks its own node count by halving. One pass over N = 64
@@ -48,7 +51,8 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _looks_real_analytic, _require_f_zero
-from .spectral import _CHUNK, TCsvd, from_faces, isometry, tcsvd, to_faces
+from .spectral import (_CHUNK, TCsvd, csvd_faces, from_faces, isometry, require_finite, tcsvd,
+                       to_faces)
 
 DEFAULT_NODES = 256
 # the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
@@ -60,23 +64,24 @@ _CLUSTER_RTOL = 1e-8
 _SHIFT_RTOL = 1e-8
 
 
-def pinv(a: Tensor3) -> Tensor3:
-    """Moore-Penrose inverse: Vr * Sr^+ * Ur^H.
+def _pinv_faces(a: Tensor3, half):
+    """Faces of A^+ = Vr * Sr^+ * Ur^H; the faces of A live only through their SVD."""
+    c = csvd_faces(to_faces(a, allow_half=half)[1][0], a.p, half)
+    inv = np.divide(1.0, c.sigma, out=np.zeros(c.sigma.shape), where=c.sigma > 0.0)
+    return c.rebuild_faces(inv, adjoint=True)[0]
 
-    Satisfies the four Penrose identities in the T-product sense.
-    """
-    c = tcsvd(a)
-    inv_vals = np.zeros(c.sigma.shape)
-    pos = c.sigma > 0.0
-    inv_vals[pos] = 1.0 / c.sigma[pos]
-    return c.rebuild(inv_vals, adjoint=True)
+
+def pinv(a: Tensor3) -> Tensor3:
+    """Moore-Penrose inverse Vr * Sr^+ * Ur^H: the four Penrose identities hold (T-product)."""
+    return from_faces(_pinv_faces(a, a.exactly_real), a.p, a.exactly_real)
 
 
 def lstsq(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Minimum-norm least squares solution of A * X = B."""
+    """Minimum-norm least squares solution of A * X = B, face by face X_k = A_k^+ B_k."""
     if a.m != b.m or a.p != b.p:
         raise DimMismatch(f"lstsq shapes do not conform: {a.shape} vs {b.shape}")
-    return tprod(pinv(a), b)
+    half, (fb,) = to_faces(b, allow_half=a.exactly_real)
+    return from_faces(_pinv_faces(a, half) @ fb, a.p, half)
 
 
 @dataclass(frozen=True)
@@ -88,16 +93,29 @@ class SolveResult:
 def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3) -> SolveResult:
     """Best-consistent solution of A * X * B = D with its consistency residual.
 
-    X = A^+ * D * B^+; the residual |A*X*B - D| / |D| vanishes exactly when
-    D equals its projection P_range(A) * D * P_range(B^H-side).
+    Face by face X_k = A_k^+ D_k B_k^+. The residual |A*X*B - D| / |D|, read on
+    the faces by Parseval, vanishes exactly when D = P_range(A) * D * P_range(B^H).
+    Each operand is transformed where it is used and again for the residual,
+    so no two face stacks of A, B and D are held at once.
     """
     if d.m != a.m or d.n != b.n or a.p != b.p or a.p != d.p:
-        raise DimMismatch(
-            f"solve shapes do not conform: A {a.shape}, B {b.shape}, D {d.shape}"
-        )
-    x = tprod(pinv(a), tprod(d, pinv(b)))
-    dn = fnorm(d)
-    residual = 0.0 if dn == 0.0 else fnorm(tprod(a, tprod(x, b)) - d) / dn
+        raise DimMismatch(f"solve shapes do not conform: A {a.shape}, B {b.shape}, D {d.shape}")
+    require_finite(a, b, d)
+    half, p = a.exactly_real and b.exactly_real and d.exactly_real, a.p
+
+    def faces(t):
+        return to_faces(t, allow_half=half)[1][0]
+
+    xf = _pinv_faces(a, half) @ faces(d) @ _pinv_faces(b, half)
+    x = from_faces(xf, p, half)
+    rf = faces(a) @ xf @ faces(b)
+    df = faces(d)
+    rf -= df
+    # Parseval; on a half spectrum faces 1..(p-1)//2 count twice, for their conjugate partners
+    w = np.ones(len(df))
+    w[1:(p + 1) // 2] = 2.0 if half else 1.0
+    dn, rn = (float(np.sqrt(w @ np.linalg.norm(f, axis=(1, 2)) ** 2)) for f in (df, rf))
+    residual = 0.0 if dn == 0.0 else rn / dn
     return SolveResult(x=x, residual=residual)
 
 
@@ -192,11 +210,8 @@ def _node_count(nodes):
     return int(DEFAULT_NODES if nodes is None else nodes)
 
 
-def contour_for(values, nodes=None) -> Contour:
-    """One circle per cluster: radius = min(0.45 * gap to nearest, 0.5 * value).
-
-    ``nodes`` per circle, ``DEFAULT_NODES`` when None.
-    """
+def _circles(values):
+    """(centres, radii), a circle per cluster, radius = min(0.45 * gap to nearest, 0.5 * value)."""
     values = np.asarray(values, dtype=float).ravel()
     values = values[values > 0]
     if not values.size:
@@ -204,9 +219,13 @@ def contour_for(values, nodes=None) -> Contour:
     centers = _cluster(values)
     steps = np.diff(centers)
     gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
-    radii = np.minimum(0.45 * gaps, 0.5 * centers)
-    circles = tuple(zip(map(complex, centers.tolist()), radii.tolist()))
-    return Contour(circles=circles, nodes_per_circle=_node_count(nodes))
+    return centers, np.minimum(0.45 * gaps, 0.5 * centers)
+
+
+def contour_for(values, nodes=None) -> Contour:
+    """The :func:`_circles` of ``values``, ``nodes`` per circle (``DEFAULT_NODES`` when None)."""
+    centers, radii = _circles(values)
+    return Contour(tuple(zip(map(complex, centers.tolist()), radii.tolist())), _node_count(nodes))
 
 
 def _check_encloses(contour, values):
@@ -321,10 +340,9 @@ def cluster_projector_contour(a: Tensor3, target, nodes=None) -> Tensor3:
     product with E is one rebuild, as in :func:`gfun_contour`.
     """
     c = tcsvd(a)
-    target = float(target)
-    full = contour_for(c.sigma, nodes)
-    circle = min(full.circles, key=lambda cr: abs(cr[0].real - target))
-    sub = Contour(circles=(circle,), nodes_per_circle=full.nodes_per_circle)
+    centers, radii = _circles(c.sigma)
+    i = int(np.abs(centers - float(target)).argmin())
+    sub = Contour(((complex(centers[i]), float(radii[i])),), _node_count(nodes))
     return c.rebuild(_contour_sum(c, sub, lambda z: 1.0, nodes is None))
 
 

@@ -49,13 +49,18 @@ def to_faces(*tensors, allow_half=True):
     holds all p faces. Raises :class:`NonFinite` before any transform when
     an operand holds a NaN or an infinity, so none reaches LAPACK.
     """
-    for t in tensors:
-        if not np.isfinite(t.data).all():
-            raise NonFinite(f"{t.m} x {t.n} x {t.p} tensor holds a NaN or an infinity")
+    require_finite(*tensors)
     half = allow_half and all(t.exactly_real for t in tensors)
     if half:
         return True, [np.fft.rfft(t.data, axis=0) for t in tensors]
     return False, [np.fft.fft(t.data, axis=0) for t in tensors]
+
+
+def require_finite(*tensors):
+    """Raise :class:`NonFinite` when an operand holds a NaN or an infinity."""
+    for t in tensors:
+        if not np.isfinite(t.data).all():
+            raise NonFinite(f"{t.m} x {t.n} x {t.p} tensor holds a NaN or an infinity")
 
 
 def from_faces(faces, p, half) -> Tensor3:
@@ -102,19 +107,6 @@ def _fix_phases(u, vh):
     return u, vh
 
 
-def _face_svd(a: Tensor3, full_matrices):
-    """One batched SVD over the face stack, with deterministic phases.
-
-    Returns (uf, s, vhf, half): uf is (h, m, mu), s is (h, k), vhf is
-    (h, nv, n), where h is p//2 + 1 on the half spectrum and p otherwise,
-    k = min(m, n), and mu/nv = m/n when full, else k.
-    """
-    half, (faces,) = to_faces(a)
-    uf, s, vhf = np.linalg.svd(faces, full_matrices=full_matrices)
-    uf, vhf = _fix_phases(uf, vhf)
-    return uf, s, vhf, half
-
-
 def _embed_diag(s, m, n):
     """(h, k) values -> (h, m, n) stack of rectangular diagonal matrices."""
     h, k = s.shape
@@ -139,11 +131,10 @@ class TSvd:
 
 
 def tsvd(a: Tensor3) -> TSvd:
-    uf, s, vhf, half = _face_svd(a, full_matrices=True)
-    u = from_faces(uf, a.p, half)
-    sd = from_faces(_embed_diag(s, a.m, a.n), a.p, half)
-    v = from_faces(_ct(vhf), a.p, half)
-    return TSvd(u, sd, v)
+    half, (faces,) = to_faces(a)
+    uf, s, vhf = np.linalg.svd(faces, full_matrices=True)
+    uf, vhf = _fix_phases(uf, vhf)
+    return TSvd(*(from_faces(x, a.p, half) for x in (uf, _embed_diag(s, a.m, a.n), _ct(vhf))))
 
 
 @dataclass
@@ -169,10 +160,15 @@ class TCsvd:
     rank_cutoff: float
 
     @cached_property
+    def _phases(self):
+        """:func:`_fix_phases`'s phases for :attr:`Ur`, :attr:`Vr`; rebuilds keep LAPACK's."""
+        return _unit_phase(self.uf, -2)
+
+    @cached_property
     def Ur(self) -> Tensor3:
         if self.r == 0:
             return Tensor3(np.zeros((self.p, self.m, 1)))
-        return from_faces(self.uf, self.p, self.half)
+        return from_faces(self.uf * self._phases.conj(), self.p, self.half)
 
     @cached_property
     def Sr(self) -> Tensor3:
@@ -185,7 +181,7 @@ class TCsvd:
     def Vr(self) -> Tensor3:
         if self.r == 0:
             return Tensor3(np.zeros((self.p, self.n, 1)))
-        return from_faces(_ct(self.vhf), self.p, self.half)
+        return from_faces(_ct(self.vhf * self._phases[..., 0, :, None]), self.p, self.half)
 
     @cached_property
     def full_frames(self):
@@ -194,6 +190,17 @@ class TCsvd:
             return self.uf, self.vhf
         return mirror(self.uf, self.p), mirror(self.vhf, self.p)
 
+    def rebuild_faces(self, vals, adjoint=False):
+        """``(faces, half)`` of :meth:`rebuild`, before the inverse transform."""
+        vals = np.asarray(vals)
+        half = self.half and not np.iscomplexobj(vals)
+        uf, vhf = (self.uf, self.vhf) if half else self.full_frames
+        vals = vals[: uf.shape[0], None, :]
+        if adjoint:
+            # V diag(vals) U^H is the conjugate transpose of U diag(conj(vals)) V^H
+            return _ct((uf * vals.conj()) @ vhf), half
+        return (uf * vals) @ vhf, half
+
     def rebuild(self, vals, adjoint=False) -> Tensor3:
         """U_r * diag(vals) * V_r^H, or V_r * diag(vals) * U_r^H when ``adjoint``.
 
@@ -201,20 +208,14 @@ class TCsvd:
         half spectrum and give an exactly real tensor; complex values break
         the conjugate pairing, so they use :attr:`full_frames`.
         """
-        vals = np.asarray(vals)
-        half = self.half and not np.iscomplexobj(vals)
-        uf, vhf = (self.uf, self.vhf) if half else self.full_frames
-        vals = vals[: uf.shape[0], None, :]
-        if adjoint:
-            # V diag(vals) U^H is the conjugate transpose of U diag(conj(vals)) V^H
-            return from_faces(_ct((uf * vals.conj()) @ vhf), self.p, half)
-        return from_faces((uf * vals) @ vhf, self.p, half)
+        faces, half = self.rebuild_faces(vals, adjoint)
+        return from_faces(faces, self.p, half)
 
 
-def tcsvd(a: Tensor3) -> TCsvd:
-    """Compact T-SVD, cut at :func:`default_rank_rtol` times the largest face singular value."""
-    uf, s, vhf, half = _face_svd(a, full_matrices=False)
-    m, n, p = a.m, a.n, a.p
+def csvd_faces(faces, p, half) -> TCsvd:
+    """:func:`tcsvd` of the tensor whose :func:`to_faces` stack ``faces`` is: one batched SVD."""
+    _, m, n = faces.shape
+    uf, s, vhf = np.linalg.svd(faces, full_matrices=False)
     if half:
         s = mirror(s, p)
     cutoff = default_rank_rtol(m, n, p) * float(s.max())
@@ -222,18 +223,14 @@ def tcsvd(a: Tensor3) -> TCsvd:
     r = max(ranks)
     sigma = s[:, :r].copy()
     sigma[sigma <= cutoff] = 0.0
-    return TCsvd(
-        m=m,
-        n=n,
-        p=p,
-        r=r,
-        face_ranks=ranks,
-        sigma=sigma,
-        uf=uf[:, :, :r],
-        vhf=vhf[:, :r, :],
-        half=half,
-        rank_cutoff=cutoff,
-    )
+    return TCsvd(m=m, n=n, p=p, r=r, face_ranks=ranks, sigma=sigma, uf=uf[:, :, :r],
+                 vhf=vhf[:, :r, :], half=half, rank_cutoff=cutoff)
+
+
+def tcsvd(a: Tensor3) -> TCsvd:
+    """Compact T-SVD, cut at :func:`default_rank_rtol` times the largest face singular value."""
+    half, (faces,) = to_faces(a)
+    return csvd_faces(faces, a.p, half)
 
 
 def t_eigenvalues(a: Tensor3) -> np.ndarray:

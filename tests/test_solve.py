@@ -43,11 +43,12 @@ from tprod.errors import (
     InvalidContour,
     NearSingularShift,
     NoConvergence,
+    NonFinite,
     ZeroSingularValue,
     ZeroSingularValueRequiresFZero,
 )
 
-from tprod import solve
+from tprod import algebra, solve, spectral
 from tprod.solve import DEFAULT_NODES
 
 from conftest import rand3, rand_face_ranks, rand_low_rank
@@ -149,6 +150,112 @@ def test_solve_inconsistent_reports_projector_defect(rng):
     _, qr_b = projectors(tcsvd(b))
     want = fnorm(tprod(ql_a, tprod(d, qr_b)) - d) / fnorm(d)
     assert abs(res.residual - want) <= 1e-9
+
+
+def _system(rng, p, kind, consistent=True):
+    """Rank-deficient A (4x3, rank 2) and B (2x5, rank 1) with D = A*Y*B or random.
+
+    ``kind`` is real, complex, or mixed: real A and B with a complex D.
+    """
+    cplx = kind == "complex"
+    a = rand_low_rank(rng, 4, 3, p, k=2, cplx=cplx)
+    b = rand_low_rank(rng, 2, 5, p, k=1, cplx=cplx)
+    d = tprod(a, tprod(rand3(rng, 3, 2, p, cplx), b)) if consistent else rand3(rng, 4, 5, p, cplx)
+    if kind == "mixed":
+        e = tprod(a, tprod(rand3(rng, 3, 2, p), b)) if consistent else rand3(rng, 4, 5, p)
+        d = d + 1j * e
+    return a, b, d
+
+
+def _dense_pinv(a):
+    # singular values of the rank-deficient operands sit near 1e-16; the others above 1e-3
+    return np.linalg.pinv(bcirc(a), rcond=1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_solve_axb_and_lstsq_match_the_dense_bcirc_pseudoinverse(rng, p, kind):
+    a, b, d = _system(rng, p, kind, consistent=False)
+    want = fold((_dense_pinv(a) @ bcirc(d) @ _dense_pinv(b))[:, : b.m], a.n, b.m, p)
+    res = solve_axb(a, b, d)
+    assert fnorm(res.x - want) <= 1e-9 * fnorm(want)
+    want = fold(_dense_pinv(a) @ unfold(d), a.n, d.n, p)
+    x = lstsq(a, d)
+    assert fnorm(x - want) <= 1e-9 * fnorm(want)
+    # all-real input stays on the half spectrum and comes back real
+    dtype = np.float64 if kind == "real" else np.complex128
+    assert res.x.data.dtype == dtype and x.data.dtype == dtype
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_solve_face_residual_equals_the_direct_residual(rng, p, kind):
+    for consistent in (True, False):
+        a, b, d = _system(rng, p, kind, consistent)
+        res = solve_axb(a, b, d)
+        direct = fnorm(tprod(a, tprod(res.x, b)) - d) / fnorm(d)
+        assert abs(res.residual - direct) <= 1e-13
+    res = solve_axb(a, b, Tensor3.zeros(d.m, d.n, p))
+    assert res.residual == 0.0 and fnorm(res.x) == 0.0
+
+
+def test_solve_face_residual_on_the_criterion_12_systems():
+    rng = np.random.default_rng(12)
+    systems = [(rand3(rng, 3, 4, 2), rand3(rng, 2, 5, 2), rand3(rng, 4, 2, 2)) for _ in range(5)]
+    systems = [(a, b, tprod(a, tprod(y, b))) for a, b, y in systems]
+    systems += [(rand_low_rank(rng, 4, 3, 2, k=2), rand_low_rank(rng, 3, 4, 2, k=1),
+                 rand3(rng, 4, 4, 2)) for _ in range(5)]
+    for a, b, d in systems:
+        res = solve_axb(a, b, d)
+        direct = fnorm(tprod(a, tprod(res.x, b)) - d) / fnorm(d)
+        assert abs(res.residual - direct) <= 1e-13
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_solvers_run_on_the_faces(rng, monkeypatch, cplx):
+    calls = {"svd": 0, "from_faces": 0}
+    svd, from_faces = np.linalg.svd, spectral.from_faces
+
+    def spy_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def spy_from(*args):
+        calls["from_faces"] += 1
+        return from_faces(*args)
+
+    def no_tprod(*args, **kwargs):
+        raise AssertionError("the solvers take no T-product")
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    for module in (solve, spectral):
+        monkeypatch.setattr(module, "from_faces", spy_from)
+    a, b, d = _system(rng, 5, "complex" if cplx else "real")
+    for module in (solve, algebra):
+        monkeypatch.setattr(module, "tprod", no_tprod)
+    solve_axb(a, b, d)
+    assert calls == {"svd": 2, "from_faces": 1}
+    calls.update(svd=0, from_faces=0)
+    lstsq(a, d)
+    assert calls == {"svd": 1, "from_faces": 1}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("operand", [0, 1, 2])
+def test_solvers_reject_non_finite_operands_before_lapack(rng, monkeypatch, bad, operand):
+    ops = [t.data.astype(complex) for t in _system(rng, 4, "real")]
+    ops[operand][1, 0, 1] = bad
+    a, b, d = map(Tensor3, ops)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a non-finite operand reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(NonFinite):
+        solve_axb(a, b, d)
+    if operand != 1:
+        with pytest.raises(NonFinite):
+            lstsq(a, d)
 
 
 def test_resolvent_simple_shift():
