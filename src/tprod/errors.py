@@ -50,9 +50,9 @@ class FnDomainError(TprodError):
 
 
 class DefectiveFace(TprodError):
-    """A face too far from normal for its route: ill-conditioned eigenvectors and
-    no Taylor series of f about the face's mean eigenvalue, a Taylor sum that
-    cancels, or an exp whose squarings cannot be trusted."""
+    """A face too far from normal for the standard T-function: its kernel
+    cannot vouch for it and f has no Taylor series about the face's mean
+    eigenvalue, or that Taylor sum cancels."""
 
 
 class SeriesDivergence(TprodError):

@@ -6,18 +6,18 @@ f_gen(A) = Ur * f(Sr) * Vr^H. The standard T-function instead applies a
 matrix function to every DFT face of an F-square tensor (equivalently to
 bcirc(A)); the two disagree in general even when f(0) = 0.
 
-The standard T-function of exp (``f.fn is np.exp``) takes its own route:
-scaling and squaring with the [13/13] Pade approximant (Higham 2005, "The
-scaling and squaring method for the matrix exponential revisited", SIAM J.
-Matrix Anal. Appl. 26(4)), batched over the face stack. It needs only
-matrix products and one solve per face, so it stays accurate on defective
-and non-normal faces, where eigenvectors lose digits. Every other function
-goes through the eigendecomposition of each face. A face whose eigenvectors
-fail the conditioning guard, such as a defective one, takes the Taylor sum
-of f about its own mean eigenvalue, the atomic-block step of Schur-Parlett
-(Davies & Higham 2003, "A Schur-Parlett algorithm for computing matrix
-functions", SIAM J. Matrix Anal. Appl. 25(2)): short and exact when the
-eigenvalues cluster about their mean.
+The standard T-function runs one batched kernel per slice of faces: for
+exp (``f.fn is np.exp``) scaling and squaring with the [13/13] Pade
+approximant (Higham 2005, "The scaling and squaring method for the matrix
+exponential revisited", SIAM J. Matrix Anal. Appl. 26(4)), accurate on
+defective and non-normal faces, where eigenvectors lose digits; for every
+other f the eigendecomposition of each face. Each face the kernel cannot
+vouch for (eigenvectors that fail the conditioning guard, or squarings the
+Pade kernel cannot save) takes the Taylor sum of f about its own mean
+eigenvalue, the atomic-block step of Schur-Parlett (Davies & Higham 2003,
+"A Schur-Parlett algorithm for computing matrix functions", SIAM J. Matrix
+Anal. Appl. 25(2)): short and exact when the eigenvalues cluster about
+their mean.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _THETA13 = 5.371920351148152
 # most squarings alpha may save below the 1-norm's count: the powers formed at
 # that count are then scaled up by at most 2^(6 * 128), which keeps an error
 # from underflow (2^-1074 per operation) below 2^-300; a face that needs more
-# is refused
+# takes the Taylor sum
 _MAX_SAVED = 128
 
 
@@ -97,6 +97,11 @@ def _power_series(series, x, one, mul, norm, cap, rtol):
     return acc, (0.0 if last == series.degree else tail), peak
 
 
+def _max_abs(v):
+    # a term's size; a norm that squares the entries overflows past about 1e154
+    return np.abs(v).max()
+
+
 @dataclass(frozen=True)
 class Series:
     """Power series about z0: ``coeff(k)`` multiplies (z - z0)^k, and ``eval`` takes z - z0.
@@ -119,8 +124,8 @@ class Series:
         z = np.asarray(z, dtype=np.complex128)
         if np.any(np.abs(z) >= self.radius):
             raise RadiusViolation(f"|z| up to {np.abs(z).max():.3g} >= radius {self.radius:.3g}")
-        acc, tail, _ = _power_series(self, z, np.ones_like(z), np.multiply,
-                                     lambda v: np.abs(v).max(), _SERIES_CAP, _SERIES_RTOL)
+        acc, tail, _ = _power_series(self, z, np.ones_like(z), np.multiply, _max_abs,
+                                     _SERIES_CAP, _SERIES_RTOL)
         if not tail <= _SERIES_RTOL:
             raise SeriesDivergence(f"series did not settle within {_SERIES_CAP} terms")
         return acc
@@ -321,11 +326,11 @@ def _matrix_series(d, f, face_index):
         raise SeriesDivergence(f"face {face_index}: eigenvalue spread {spread:.3g} about the "
                                f"mean >= series radius {series.radius:.3g}")
     eye = np.eye(n, dtype=np.complex128)
-    acc, tail, peak = _power_series(series, d - mu * eye, eye, np.matmul, np.linalg.norm,
+    acc, tail, peak = _power_series(series, d - mu * eye, eye, np.matmul, _max_abs,
                                     _SERIES_CAP, _SERIES_RTOL)
     if not tail <= _SERIES_RTOL:
         raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
-    err = _EPS * peak / max(np.linalg.norm(acc), 1e-300)
+    err = _EPS * peak / max(_max_abs(acc), 1e-300)
     if err > _CANCEL_LIMIT:
         raise DefectiveFace(f"face {face_index}: Taylor sum cancels, estimated relative error "
                             f"{err:.1e} > {_CANCEL_LIMIT:g}")
@@ -337,48 +342,31 @@ def _values_on(f, w):
     return np.broadcast_to(np.asarray(f(w), dtype=np.complex128), w.shape)
 
 
-def _matrix_functions(faces, f):
-    """f of every face of an (h, n, n) stack, each by its own eigendecomposition.
+def _eig_chunk(d, f):
+    """f of every face of an (h, n, n) stack by its eigendecomposition: ``(out, fallback)``.
 
-    Hermitian faces go through one batched ``eigh``, the others through one
-    batched ``eig`` whose eigenvector matrices must pass the ``_COND_LIMIT``
-    guard; faces that fail it take ``_matrix_series`` one at a time. Errors
-    come from the lowest-indexed failing face, as a face-by-face loop would
-    raise them.
+    Hermitian faces take one batched ``eigh``, the others one batched
+    ``eig``. ``fallback`` marks the faces whose eigenvector matrix fails the
+    ``_COND_LIMIT`` guard; their slots of ``out`` are left unset.
     """
-    h = len(faces)
-    scale = np.maximum(np.linalg.norm(faces, axis=(-2, -1)), 1.0)
-    skew = np.linalg.norm(faces - faces.conj().swapaxes(-2, -1), axis=(-2, -1))
-    herm = skew <= 1e-12 * scale
-    # per path: face indices, eigenvectors V, f of the eigenvalues, V^-1
-    parts = []
-    flagged = np.zeros(0, dtype=int)
+    out = np.empty(d.shape, dtype=np.complex128)
+    fallback = np.zeros(len(d), dtype=bool)
+    scale = np.maximum(np.linalg.norm(d, axis=(-2, -1)), 1.0)
+    herm = np.linalg.norm(d - d.conj().swapaxes(-2, -1), axis=(-2, -1)) <= 1e-12 * scale
     if herm.any():
-        idx = np.flatnonzero(herm)
-        w, v = np.linalg.eigh(faces[idx])
-        parts.append((idx, v, _values_on(f, w.astype(np.complex128)), v.conj().swapaxes(-2, -1)))
+        w, v = np.linalg.eigh(d[herm])
+        fw = _values_on(f, w.astype(np.complex128))
+        out[herm] = (v * fw[:, None, :]) @ v.conj().swapaxes(-2, -1)
     if not herm.all():
         idx = np.flatnonzero(~herm)
-        w, v = np.linalg.eig(faces[idx])
+        w, v = np.linalg.eig(d[idx])
         sv = np.linalg.svd(v, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bad = (sv[:, -1] <= 0) | (sv[:, 0] / sv[:, -1] > _COND_LIMIT)
-        flagged = idx[bad]
-        if not bad.all():
-            v = v[~bad]
-            parts.append((idx[~bad], v, _values_on(f, w[~bad]), np.linalg.inv(v)))
-    finite = np.ones(h, dtype=bool)
-    for idx, _, fw, _ in parts:
-        finite[idx] = np.isfinite(fw).all(axis=-1)
-    first_bad = int(np.argmin(finite)) if not finite.all() else h
-    out = np.empty(faces.shape, dtype=np.complex128)
-    for i in flagged[flagged < first_bad]:
-        out[i] = _matrix_series(faces[i], f, int(i))
-    if first_bad < h:
-        raise FnDomainError(f"{f.name or 'f'} not finite on the spectrum of face {first_bad}")
-    for idx, v, fw, vinv in parts:
-        out[idx] = (v * fw[:, None, :]) @ vinv
-    return out
+        fallback[idx] = (sv[:, -1] <= 0) | (sv[:, 0] / sv[:, -1] > _COND_LIMIT)
+        good = ~fallback[idx]
+        if good.any():
+            v = v[good]
+            out[idx[good]] = (v * _values_on(f, w[good])[:, None, :]) @ np.linalg.inv(v)
+    return out, fallback
 
 
 def _onenorm(d):
@@ -405,8 +393,9 @@ def _expm_chunk(d):
     below ||D||, and every squaring saved halves the growth of the
     approximant's rounding error. Scaling the powers by powers of two is
     exact, so no power is formed twice. Also returns the mask of faces whose
-    count alpha would lower by more than ``_MAX_SAVED``: their squarings
-    raise a diagonal one ulp off to a power of 2^s, which loses every digit.
+    count alpha would lower by more than ``_MAX_SAVED``, for the Taylor sum:
+    their squarings raise a diagonal one ulp off to a power of 2^s, which
+    loses every digit.
     """
     b = _PADE13
     s1 = _squarings(np.log2(_onenorm(d)))
@@ -435,27 +424,28 @@ def _expm_chunk(d):
     return r, want < s1 - _MAX_SAVED
 
 
-def _expm_faces(faces):
-    """exp of every face of an (h, n, n) stack, in chunks of about _CHUNK elements.
+def _face_functions(faces, f):
+    """f of every face of an (h, n, n) stack, in slices of about ``_CHUNK`` elements.
 
-    Raises :class:`FnDomainError` naming the lowest face whose exponential
-    is not finite, as the eigendecomposition route does, or
-    :class:`DefectiveFace` where that face's squaring count was clipped.
+    Each slice takes one batched kernel, ``_expm_chunk`` for exp and
+    ``_eig_chunk`` otherwise, and each face it marks for the fallback takes
+    ``_matrix_series``. The lowest face that is not finite or that the
+    series refuses raises, as a face-by-face loop would.
     """
     h, n, _ = faces.shape
+    kernel = _expm_chunk if f.fn is np.exp else lambda d: _eig_chunk(d, f)
     out = np.empty(faces.shape, dtype=np.complex128)
     step = max(1, _CHUNK // (n * n))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, h, step):
             part = slice(i, i + step)
-            out[part], clipped = _expm_chunk(faces[part])
-            finite = np.isfinite(out[part]).all(axis=(-2, -1))
-            if clipped.any() or not finite.all():
-                k = int(np.argmax(clipped | ~finite))
-                if not finite[k]:
-                    raise FnDomainError(f"exp not finite on face {i + k}")
-                raise DefectiveFace(f"exp of face {i + k}: alpha would save more than "
-                                    f"{_MAX_SAVED} squarings, which the kernel cannot trust")
+            out[part], fallback = kernel(faces[part])
+            bad = ~fallback & ~np.isfinite(out[part]).all(axis=(-2, -1))
+            stop = int(np.argmax(bad)) if bad.any() else len(bad)
+            for k in np.flatnonzero(fallback[:stop]):
+                out[i + k] = _matrix_series(faces[i + k], f, i + k)
+            if stop < len(bad):
+                raise FnDomainError(f"{f.name or 'f'} not finite on face {i + stop}")
     return out
 
 
@@ -470,20 +460,14 @@ def _looks_real_analytic(f):
 
 
 def standard_tfn(a: Tensor3, f: ScalarFn) -> Tensor3:
-    """Standard T-function: the matrix function of every DFT face.
+    """Standard T-function: the matrix function of every DFT face, bcirc_inv(f(bcirc(a))).
 
-    Equals bcirc_inv(f(bcirc(a))). When ``f.fn is np.exp``, the whole face
-    stack goes through batched [13/13] Pade scaling and squaring (Higham
-    2005; see the module docstring). Any other f takes one batched
-    eigendecomposition per call over the whole face stack (``eigh`` for the
-    Hermitian faces, ``eig`` for the rest) with a conditioning guard on each
-    face; the faces that fail it take f's Taylor sum about their mean eigenvalue.
+    The kernels and the Taylor fallback are described in the module docstring.
     """
     if a.m != a.n:
         raise DimMismatch(f"standard T-function needs an F-square tensor, got {a.shape}")
     half, (faces,) = to_faces(a, allow_half=_looks_real_analytic(f))
-    out = _expm_faces(faces) if f.fn is np.exp else _matrix_functions(faces, f)
-    return from_faces(out, a.p, half)
+    return from_faces(_face_functions(faces, f), a.p, half)
 
 
 def gpower(a: Tensor3, k: int) -> Tensor3:

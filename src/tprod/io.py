@@ -112,8 +112,11 @@ def write_text(path, a: Tensor3, force_complex=False):
 
 
 def read_text(path) -> Tensor3:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: neither a TT3A file nor text") from None
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     head = lines[0].split()

@@ -58,6 +58,7 @@ def test_bcirc_ring_homomorphism(rng):
     prod = bcirc(tprod(a, b))
     assert np.linalg.norm(prod - bcirc(a) @ bcirc(b)) <= 1e-12 * np.linalg.norm(prod)
     assert np.allclose(bcirc(a + b), bcirc(a) + bcirc(b))
+    assert np.array_equal((a @ b).data, tprod(a, b).data)
 
 
 def test_bcirc_inv_round_trip(rng):

@@ -59,17 +59,23 @@ def test_strongly_non_normal_face():
 
 
 @pytest.mark.parametrize("p", [1, 4])
-@pytest.mark.parametrize("x", [1e60, 1e100])
+@pytest.mark.parametrize("x", [1e60, 1e100, 1e200])
 def test_squarings_alpha_cannot_save_are_refused(x, p):
-    # ||D||_1 asks for 197 (x = 1e60) or 330 squarings, alpha for 48 or 82; the
-    # kernel saves at most 128, and the rest cost every digit of the diagonal
-    # (1.0 relative error at 1e60, all zeros at 1e100)
-    a = first_slice(np.array([[1.0, x], [0.0, 1.0]]), p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DefectiveFace, match="exp of face 0: alpha would save more") as exc:
-            standard_tfn(a, EXP)
-    assert exc.value.exit_code == 3
+    # ||D||_1 asks for 197 (x = 1e60), 330 or 662 squarings, alpha for 48, 82
+    # or 165; the kernel refuses to save more than 128, since the rest would
+    # cost every digit of the diagonal, and the face takes the Taylor sum
+    # about its mean eigenvalue instead, exact here. Past 1e154 the sum's
+    # terms would overflow a norm that squares the entries.
+    for c in (1.0, 2.0):
+        a = first_slice(np.array([[1.0, x], [0.0, c]]), p)
+        # exp([[1, x], [0, c]]) = [[e, x (e^c - e) / (c - 1)], [0, e^c]], with x e at c = 1
+        top = x * np.e if c == 1.0 else x * (np.exp(c) - np.e) / (c - 1.0)
+        want = np.array([[np.e, top], [0.0, np.exp(c)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = standard_tfn(a, EXP)
+        assert np.abs(got.data[0] - want).max() <= 1e-15 * np.abs(want).max()
+        assert abs(got.data[0, 1, 1] - want[1, 1]) <= 1e-15 * want[1, 1]
 
 
 @pytest.mark.parametrize("x, tol", [(1e10, 1e-13), (1e30, 1e-10), (1e40, 1e-7)])
@@ -91,38 +97,57 @@ def test_cli_writes_the_exponential_of_a_jordan_face(tmp_path):
 
 def _overflow_on_face_1():
     faces = [np.eye(2), np.diag([800.0, 1.0]), np.ones((2, 2)), np.diag([1.0, 800.0])]
-    return Tensor3(np.fft.ifft(np.array(faces, dtype=np.complex128), axis=0))
+    return Tensor3(np.fft.ifft(np.array(faces, dtype=np.complex128), axis=0)), "exp"
+
+
+def _ln1p_pole_on_face_2():
+    # a non-normal face, then the Hermitian pole face; the Jordan face after
+    # it would take the Taylor sum
+    faces = [np.eye(2), [[0.5, 0.75], [-0.125, 0.25]], np.diag([-1.0, 0.5]),
+             [[1.0, 1.0], [0.0, 1.0]]]
+    return Tensor3(np.fft.ifft(np.array(faces, dtype=np.complex128), axis=0)), "ln1p"
+
+
+def _sinh_overflow_on_face_0():
+    return first_slice(np.diag([800.0, 1.0]), 2), "sinh"
 
 
 @pytest.mark.parametrize("make, face", [
-    (lambda: first_slice(np.diag([800.0, 1.0]), 2), 0),
+    (lambda: (first_slice(np.diag([800.0, 1.0]), 2), "exp"), 0),
     (_overflow_on_face_1, 1),
+    (_ln1p_pole_on_face_2, 2),
+    (_sinh_overflow_on_face_0, 0),
 ])
 @pytest.mark.parametrize("chunk_faces", [1, 4])
 def test_overflow_names_the_lowest_face_without_warnings(monkeypatch, make, face,
                                                          chunk_faces):
     monkeypatch.setattr(genfun, "_CHUNK", 4 * chunk_faces)
-    a = make()
+    a, name = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FnDomainError, match=f"exp not finite on face {face}$"):
-            standard_tfn(a, EXP)
+        with pytest.raises(FnDomainError, match=f"{name} not finite on face {face}$"):
+            standard_tfn(a, named_scalar_fn(name))
 
 
-@pytest.mark.parametrize("cplx", [False, True])
-def test_chunk_budgets_agree(rng, monkeypatch, cplx):
-    # faces of 1-norm 22 to 49 take 2 or 3 squarings each; real input runs
-    # on the 5 faces of the half spectrum
+@pytest.mark.parametrize("cplx, name, kernel_name", [
+    (False, "exp", "_expm_chunk"), (True, "exp", "_expm_chunk"),
+    (False, "sinh", "_eig_chunk"), (True, "sinh", "_eig_chunk"),
+], ids=["False", "True", "sinh-False", "sinh-True"])
+def test_chunk_budgets_agree(rng, monkeypatch, cplx, name, kernel_name):
+    # faces of 1-norm 22 to 49 take 2 or 3 squarings each for exp, and eig
+    # for sinh; real input runs on the 5 faces of the half spectrum
     a = 3.0 * rand3(rng, 3, 3, 8, cplx=cplx)
+    f = named_scalar_fn(name)
     h = 8 if cplx else 5
-    kernel, sizes = genfun._expm_chunk, []
-    monkeypatch.setattr(genfun, "_expm_chunk", lambda d: sizes.append(len(d)) or kernel(d))
-    whole = standard_tfn(a, EXP)
+    kernel, sizes = getattr(genfun, kernel_name), []
+    monkeypatch.setattr(genfun, kernel_name,
+                        lambda d, *args: sizes.append(len(d)) or kernel(d, *args))
+    whole = standard_tfn(a, f)
     assert sizes == [h]
     for faces in (1, 3):
         sizes.clear()
         monkeypatch.setattr(genfun, "_CHUNK", 9 * faces)
-        out = standard_tfn(a, EXP)
+        out = standard_tfn(a, f)
         assert sizes == [min(faces, h - i) for i in range(0, h, faces)]
         assert fnorm(out - whole) <= 1e-14 * fnorm(whole)
         assert out.exactly_real == (not cplx)

@@ -266,6 +266,8 @@ def test_standard_sqrt_of_a_negative_scalar_is_imaginary():
     out = standard_tfn(Tensor3([[[-4.0]]]), named_scalar_fn("sqrt"))
     assert out.data.dtype == np.complex128
     assert abs(out.data[0, 0, 0] - 2j) <= 1e-15
+    # on real input the negatives turn the whole array complex
+    assert np.array_equal(power_fn(0.5)(np.array([-4.0, 9.0])), [2j, 3.0])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
@@ -342,7 +344,7 @@ def test_standard_series_fallback_accurate_sum_is_kept(name, dense):
 @pytest.mark.parametrize("p", [1, 4])
 @pytest.mark.parametrize("lam", [-20.0, -30.0])
 @pytest.mark.parametrize("name", ["sin", "cos"])
-def test_standard_series_fallback_refuses_a_cancelling_sum(p, lam, name):
+def test_standard_series_fallback_sums_about_the_mean_eigenvalue(p, lam, name):
     # the alternating Taylor sum about 0 cancels on these faces; the sum about
     # the mean eigenvalue is short and exact
     a = first_slice(_jordan4(lam), p)
@@ -350,7 +352,7 @@ def test_standard_series_fallback_refuses_a_cancelling_sum(p, lam, name):
     assert _rel(bcirc(standard_tfn(a, named_scalar_fn(name))), dense(bcirc(a))) <= 1e-12
 
 
-def test_cli_refuses_a_cancelling_standard_sum(tmp_path, capsys):
+def test_cli_standard_cos_of_jordan_faces(tmp_path, capsys):
     # Jordan faces at -20 take the Taylor sum about their mean eigenvalue
     src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"
     a = first_slice(_jordan4(-20.0), 4)
@@ -358,6 +360,29 @@ def test_cli_refuses_a_cancelling_standard_sum(tmp_path, capsys):
     assert main(["apply", str(src), "--fn", "cos", "--standard", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert _rel(bcirc(read_tensor(out)), scipy.linalg.cosm(bcirc(a))) <= 1e-12
+
+
+@pytest.mark.parametrize("name, face, err, message", [
+    ("sin", [[-25.0, 1e12], [0.0, 25.0]], DefectiveFace,
+     "face 0: Taylor sum cancels, estimated relative error 9.6e-06 > 1e-10"),
+    ("inverse_shift", [[-0.98, 1e9], [0.0, 0.98]], SeriesDivergence,
+     "face 0: series did not settle in 500 terms"),
+])
+def test_standard_taylor_sum_refusals_exit_3(tmp_path, capsys, name, face, err, message):
+    # both faces fail the eigenvector guard; about their mean 0 the terms of
+    # the sin sum grow to 4e10 times the result, and those of the
+    # inverse_shift sum shrink by only 0.98 a term
+    a = Tensor3(np.array([face]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(err, match=f"^{message}$") as exc:
+            standard_tfn(a, named_scalar_fn(name))
+    assert exc.value.exit_code == 3
+    src, out = tmp_path / "a.tt3a", tmp_path / "x.tt3a"
+    write_tensor(src, a)
+    assert main(["apply", str(src), "--fn", name, "--standard", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_standard_cube_of_jordan_faces(tmp_path):

@@ -80,7 +80,16 @@ def test_read_tensor_dispatches(tmp_path, rng):
     assert np.array_equal(read_tensor(tmp_path / "t.txt").data, a.data)
 
 
-def test_truncated_binary_rejected(tmp_path, rng):
+def _refused(read, path, message, capsys):
+    # the reader raises FileFormatError, and `tprod info` exits 4 with one error line
+    with pytest.raises(FileFormatError, match=message):
+        read(path)
+    assert main(["info", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_truncated_binary_rejected(tmp_path, rng, capsys):
     a = rand3(rng, 2, 2, 2)
     path = tmp_path / "t.tt3a"
     write_binary(path, a)
@@ -88,9 +97,17 @@ def test_truncated_binary_rejected(tmp_path, rng):
     path.write_bytes(raw[:-8])
     with pytest.raises(FileFormatError):
         read_binary(path)
+    for head, message in [
+        (raw[:35], "truncated header"),
+        (b"XT3A" + raw[4:36], "bad magic b'XT3A'"),
+        (raw[:4] + struct.pack("<I", 2) + raw[8:36], "unsupported version 2"),
+        (raw[:32] + struct.pack("<I", 3), "unknown dtype tag 3"),
+    ]:
+        path.write_bytes(head + raw[36:] if len(head) == 36 else head)
+        _refused(read_binary, path, message, capsys)
 
 
-def test_bad_text_headers(tmp_path):
+def test_bad_text_headers(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2 oops real64\n1 2\n3 4\n")
     with pytest.raises(FileFormatError):
@@ -101,6 +118,13 @@ def test_bad_text_headers(tmp_path):
     bad.write_text("2 2 1 complex128\n1+2i 3\n4+0i 5+1i\n")
     with pytest.raises(FileFormatError):
         read_text(bad)
+    for text, message in [
+        ("", "empty file"),
+        ("2 2 1\n1 2\n3 4\n", "bad header line '2 2 1'"),
+        ("2 2 1 real32\n1 2\n3 4\n", "bad header line '2 2 1 real32'"),
+    ]:
+        bad.write_text(text)
+        _refused(read_text, bad, message, capsys)
 
 
 @pytest.mark.parametrize("body, message", [
