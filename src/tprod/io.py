@@ -149,7 +149,7 @@ def read_text(path) -> Tensor3:
             try:
                 parse(tok)
             except ValueError:
-                raise FileFormatError(f"bad {kind} token {tok!r}") from None
+                raise FileFormatError(f"{path}: bad {kind} token {tok!r}") from None
     return _checked(path, flat.reshape(p, m, n))
 
 

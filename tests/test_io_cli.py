@@ -159,8 +159,23 @@ def test_complex_text_token_is_a_python_complex_literal(tmp_path, tok, want):
 def test_bad_complex_text_token_is_named(tmp_path, tok):
     path = tmp_path / "c.txt"
     path.write_text(f"2 1 1 complex128\n1+0i\n{tok}\n")
-    with pytest.raises(FileFormatError, match=f"^bad complex token {re.escape(repr(tok))}$"):
+    with pytest.raises(FileFormatError,
+                       match=f"^{re.escape(str(path))}: bad complex token {re.escape(repr(tok))}$"):
         read_text(path)
+
+
+@pytest.mark.parametrize("dtype, row, word", [
+    ("real64", "1 x", "real"),
+    ("complex128", "1+0i 1+i", "complex"),
+])
+def test_bad_text_token_names_the_file(tmp_path, capsys, dtype, row, word):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1 2 1 {dtype}\n{row}\n")
+    bad = row.split()[1]
+    _refused(read_text, path, f"^{re.escape(str(path))}: bad {word} token '{re.escape(bad)}'$",
+             capsys)
+    assert main(["info", str(path)]) == 4
+    assert capsys.readouterr().err == f"error: {path}: bad {word} token '{bad}'\n"
 
 
 def test_nan_complex_token_fails_as_non_finite(tmp_path):
@@ -294,6 +309,34 @@ def test_cli_apply_failed_cross_check_exits_3(tmp_path, capsys):
     assert "cross-check vs spectral: " in captured.out
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_standard_contour_of_a_tight_cluster_far_from_0(tmp_path, capsys):
+    # eigenvalues 1e8 and 1e8 + 1e-3: the default circle clears its own guard
+    src = tmp_path / "a.tt3a"
+    d = 1e8 * np.eye(2) + np.diag([0.0, 1e-3])
+    write_tensor(src, Tensor3(d[None]))
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(src), "--fn", "square", "--standard", "--method", "contour",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert float(captured.out.split("cross-check vs spectral:")[1].split()[0]) <= 1e-15
+    got = read_tensor(out).data[0]
+    assert np.linalg.norm(got - d @ d) <= 1e-15 * np.linalg.norm(d @ d)
+
+
+def test_cli_standard_contour_of_the_zero_tensor(tmp_path, capsys):
+    # the spectral route reads exactly 0, so any rounding left would fail the cross-check
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, Tensor3(np.zeros((4, 3, 3))))
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(src), "--fn", "sin", "--standard", "--method", "contour",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "cross-check vs spectral: 0.000e+00" in captured.out
+    assert not read_tensor(out).data.any()
 
 
 @pytest.mark.parametrize("method", [[], ["--method", "spectral"]], ids=["default", "spectral"])

@@ -8,6 +8,7 @@ when the mirrored faces are wrong.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from tprod import (
     random_unitary,
     scalar_fn,
     specnorm,
+    standard_fn_contour,
     standard_tfn,
     tcsvd,
     tprod,
@@ -281,3 +283,19 @@ def test_standard_exp_matches_scipy_expm_of_every_face(at, top):
     assert np.linalg.norm(got.data - want) <= 1e-12 * np.linalg.norm(want)
     # the route follows f.fn, not the name
     assert np.array_equal(standard_tfn(a, scalar_fn(np.exp, 1.0)).data, got.data)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(tensors(square=True), st.floats(0.5, 4.0), st.sampled_from(["exp", "sin", "square"]))
+def test_standard_fn_contour_default_matches_standard_tfn(at, top, name):
+    # scaled as above. Up to a face 1-norm of 4 the one default circle resolves
+    # 1e-12; on a wider spectrum it loses about eps * max|f(z_k)| / |f(A)|,
+    # with or without the degree cut. sin and square of a zero or nilpotent
+    # tensor are 0, so the rounding is taken as absolute below 1.
+    a, _ = at
+    faces = np.fft.fft(a.data, axis=0)
+    a = (top / max(np.abs(faces).sum(axis=1).max(), 1e-300)) * a
+    f = named_scalar_fn(name)
+    want = standard_tfn(a, f)
+    assert fnorm(standard_fn_contour(a, f) - want) <= 1e-12 * max(fnorm(want), 1.0)

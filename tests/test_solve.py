@@ -586,6 +586,52 @@ def test_standard_fn_contour_non_normal_face():
     assert np.linalg.norm(out.data[0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name, power", [("square", 2), ("cube", 3)])
+def test_standard_fn_contour_polynomial_of_non_normal_face_is_exact(seed, name, power):
+    # off-diagonals 1e4: ||B^s|| is far above 1, so the B^N bound overflows to
+    # inf and keeps the solve; the sum stops at the polynomial's own degree
+    rng = np.random.default_rng(seed)
+    d = 1e4 * np.triu(rng.standard_normal((6, 6)), 1) + np.diag(rng.standard_normal(6))
+    want = np.linalg.matrix_power(d, power)
+    out = standard_fn_contour(Tensor3(d[None]), named_scalar_fn(name))
+    assert np.linalg.norm(out.data[0] - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("top", [1e7, 1e8, 1e12, 1e15])
+def test_standard_fn_contour_default_circle_clears_its_guard(top):
+    # a cluster of spread 1e-3 at top: the radius floor keeps it off the circle
+    d = top * np.eye(2) + np.diag([0.0, 1e-3])
+    out = standard_fn_contour(Tensor3(d[None]), named_scalar_fn("square"))
+    assert np.linalg.norm(out.data[0] - d @ d) <= 1e-15 * np.linalg.norm(d @ d)
+
+
+@pytest.mark.parametrize("name", ["square", "cube", "sin", "sinh"])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_standard_fn_contour_of_the_zero_tensor_is_zero(name, cplx):
+    # f(0) = 0: c_0 is only the FFT's rounding, which the sum drops
+    a = Tensor3(np.zeros((4, 3, 3), dtype=np.complex128 if cplx else np.float64))
+    out = standard_fn_contour(a, named_scalar_fn(name))
+    assert not out.data.any()
+
+
+def test_contour_for_skips_the_disjointness_recheck(monkeypatch):
+    values = np.abs(np.random.default_rng(0).standard_normal(40)) + 0.1
+    want = contour_for(values, 64)
+
+    def boom(self):
+        raise AssertionError("contour_for re-checked circles it sized")
+
+    monkeypatch.setattr(Contour, "__post_init__", boom)
+    got = contour_for(values, 64)
+    assert got == want
+    assert np.array_equal(got.centers, want.centers) and np.array_equal(got.radii, want.radii)
+    with pytest.raises(InvalidContour):
+        contour_for(values, 8)
+
+
 def test_standard_fn_contour_takes_one_circle():
     a = Tensor3(np.ones((1, 1, 1)))
     exp = named_scalar_fn("exp")
