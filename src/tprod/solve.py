@@ -50,6 +50,7 @@ from .errors import (
     DimMismatch,
     EigenvalueOnContour,
     EmptyValues,
+    FnDomainError,
     InvalidContour,
     NearSingularShift,
     NoConvergence,
@@ -396,6 +397,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     default radius 1.3 spread + 0.1 max(spread, 1, 1e-6 max|lambda|): the
     last term keeps a tight cluster far from 0 clear of the guard that
     refuses an eigenvalue within 1e-8 max(max|lambda|, 1) of the circle.
+    An f not finite at some node raises :class:`FnDomainError`.
 
     The N-node trapezoid sum is evaluated as one DFT rather than N shifted
     solves. On a face D, with B = (D - cI)/r and z_k = c + r w^k
@@ -438,7 +440,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
         spread = float(np.abs(eigs - center).max())
         # 0.1 * 1e-6 * scale is ten times the margin guard: the circle clears its own guard
         radius = 1.3 * spread + 0.1 * max(spread, 1.0, 1e-6 * scale)
-        contour = Contour._sized([center], [radius], nodes)
+        contour = Contour(circles=((center, radius),), nodes_per_circle=_node_count(nodes))
     # a real centre is as far from conj(lambda) as from lambda
     margin = np.abs(np.abs(eigs[:, None] - contour.centers) - contour.radii).min(axis=0)
     close = margin[margin < 1e-8 * scale]
@@ -452,7 +454,11 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     z = _nodes(contour, contour.nodes_per_circle)[0][0]
     center, rad = contour.centers[0], contour.radii[0]
     n_nodes = z.size
-    coef = np.fft.fft(np.broadcast_to(f(z), z.shape)) / n_nodes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coef = np.fft.fft(np.broadcast_to(f(z), z.shape)) / n_nodes
+    if not np.isfinite(coef).all():
+        # a non-finite sample would leave no coefficient above the floor and read as 0
+        raise FnDomainError(f"{f.name or 'f'} not finite on the contour")
     # the coefficients below the FFT's rounding floor are noise: P ends at the last one
     # above it, and those below it before that end are 0
     resolved = np.abs(coef) > _COEF_FLOOR * np.abs(coef).max()

@@ -339,6 +339,19 @@ def test_cli_standard_contour_of_the_zero_tensor(tmp_path, capsys):
     assert not read_tensor(out).data.any()
 
 
+def test_cli_standard_contour_refuses_exp_overflowing_on_the_circle(tmp_path, capsys):
+    # exp(709.7) is finite but the default circle reaches past 709.78, where exp overflows
+    src = tmp_path / "a.tt3a"
+    write_tensor(src, Tensor3(np.array([[[709.7]]])))
+    out = tmp_path / "out.tt3a"
+    rc = main(["apply", str(src), "--fn", "exp", "--standard", "--method", "contour",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: exp not finite on the contour\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", [[], ["--method", "spectral"]], ids=["default", "spectral"])
 def test_cli_nodes_outside_the_contour_route_is_usage_error(tmp_path, capsys, method):
     out = tmp_path / "out.tt3a"

@@ -40,6 +40,7 @@ from tprod.errors import (
     DimMismatch,
     EigenvalueOnContour,
     EmptyValues,
+    FnDomainError,
     InvalidContour,
     NearSingularShift,
     NoConvergence,
@@ -615,6 +616,15 @@ def test_standard_fn_contour_of_the_zero_tensor_is_zero(name, cplx):
     a = Tensor3(np.zeros((4, 3, 3), dtype=np.complex128 if cplx else np.float64))
     out = standard_fn_contour(a, named_scalar_fn(name))
     assert not out.data.any()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2)])
+def test_standard_fn_contour_refuses_a_non_finite_node_sample(shape):
+    # exp overflows on the default circle's right half (radius 0.1 about 709.7): no
+    # coefficient is finite, and the sum must not read as the zero tensor
+    a = Tensor3(np.broadcast_to(709.7 * np.eye(shape[1]), shape).copy())
+    with pytest.raises(FnDomainError, match="exp not finite on the contour"):
+        standard_fn_contour(a, named_scalar_fn("exp"))
 
 
 def test_contour_for_skips_the_disjointness_recheck(monkeypatch):
