@@ -45,6 +45,18 @@ class Tensor3:
         self.data = arr
 
     @classmethod
+    def _adopt(cls, arr):
+        """``Tensor3(arr)`` without its copy, for a fresh (p, m, n) float64 or complex128 array
+        that nothing else holds. Complex input whose imaginary parts are all zero is still
+        demoted to float64, which copies it."""
+        if arr.dtype == np.complex128 and not arr.imag.any():
+            return cls(arr)
+        t = cls.__new__(cls)
+        t.data = np.ascontiguousarray(arr)
+        t.data.setflags(write=False)
+        return t
+
+    @classmethod
     def zeros(cls, m, n, p):
         return cls(np.zeros((p, m, n)))
 

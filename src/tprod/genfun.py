@@ -43,7 +43,7 @@ from .errors import (
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
-from .spectral import _CHUNK, _EPS, from_faces, isometry, tcsvd, to_faces
+from .spectral import _CHUNK, _EPS, _each_slice, from_faces, isometry, tcsvd, to_faces
 
 _SERIES_CAP = 500
 _SERIES_RTOL = 1e-12
@@ -429,23 +429,26 @@ def _face_functions(faces, f):
 
     Each slice takes one batched kernel, ``_expm_chunk`` for exp and
     ``_eig_chunk`` otherwise, and each face it marks for the fallback takes
-    ``_matrix_series``. The lowest face that is not finite or that the
-    series refuses raises, as a face-by-face loop would.
+    ``_matrix_series``. The slices run through ``_each_slice``. The lowest
+    face that is not finite or that the series refuses raises, as a
+    face-by-face loop would.
     """
     h, n, _ = faces.shape
     kernel = _expm_chunk if f.fn is np.exp else lambda d: _eig_chunk(d, f)
     out = np.empty(faces.shape, dtype=np.complex128)
-    step = max(1, _CHUNK // (n * n))
+
+    def work(part):
+        i = part.start
+        out[part], fallback = kernel(faces[part])
+        bad = ~fallback & ~np.isfinite(out[part]).all(axis=(-2, -1))
+        stop = int(np.argmax(bad)) if bad.any() else len(bad)
+        for k in np.flatnonzero(fallback[:stop]):
+            out[i + k] = _matrix_series(faces[i + k], f, i + k)
+        if stop < len(bad):
+            raise FnDomainError(f"{f.name or 'f'} not finite on face {i + stop}")
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(0, h, step):
-            part = slice(i, i + step)
-            out[part], fallback = kernel(faces[part])
-            bad = ~fallback & ~np.isfinite(out[part]).all(axis=(-2, -1))
-            stop = int(np.argmax(bad)) if bad.any() else len(bad)
-            for k in np.flatnonzero(fallback[:stop]):
-                out[i + k] = _matrix_series(faces[i + k], f, i + k)
-            if stop < len(bad):
-                raise FnDomainError(f"{f.name or 'f'} not finite on face {i + stop}")
+        _each_slice(h, n, work, _CHUNK)
     return out
 
 

@@ -57,8 +57,8 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _looks_real_analytic, _require_f_zero
-from .spectral import (_CHUNK, _EPS, TCsvd, csvd_faces, from_faces, isometry, require_finite,
-                       tcsvd, to_faces)
+from .spectral import (_CHUNK, _EPS, TCsvd, _per_face, csvd_faces, from_faces, isometry,
+                       require_finite, tcsvd, to_faces)
 
 DEFAULT_NODES = 256
 # the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
@@ -432,7 +432,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     real_centres = contour is None or not contour.centers.imag.any()
     half, (faces, *rhs) = to_faces(*((a,) if b is None else (a, b)),
                                    allow_half=real_centres and _looks_real_analytic(f))
-    eigs = np.linalg.eigvals(faces).ravel()
+    eigs = _per_face(np.linalg.eigvals, faces, ((a.n,), np.complex128)).ravel()
     # the margin guard below refuses an eigenvalue nearer than 1e-8 * scale to the circle
     scale = max(float(np.abs(eigs).max()), 1.0)
     if contour is None:
