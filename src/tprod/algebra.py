@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Tensor3, bcirc, conj_transpose, fnorm, fold, transpose, unfold
 from .errors import DimMismatch, InvalidArgument, Singular
-from .spectral import default_rank_rtol, from_faces, to_faces
+from .spectral import _matmul, _per_face, _svdvals, default_rank_rtol, from_faces, to_faces
 
 
 def first_slice(mat, p) -> Tensor3:
@@ -37,7 +37,7 @@ def tprod(a: Tensor3, b: Tensor3, method="fft") -> Tensor3:
     if method != "fft":
         raise InvalidArgument(f"unknown method {method!r}")
     half, (fa, fb) = to_faces(a, b)
-    return from_faces(fa @ fb, a.p, half)
+    return from_faces(_matmul(fa, fb), a.p, half)
 
 
 def inverse(a: Tensor3) -> Tensor3:
@@ -49,7 +49,7 @@ def inverse(a: Tensor3) -> Tensor3:
     if a.m != a.n:
         raise DimMismatch(f"inverse needs an F-square tensor, got {a.shape}")
     half, (faces,) = to_faces(a)
-    sv = np.linalg.svd(faces, compute_uv=False)
+    sv = _svdvals(faces)
     smin_per_face = sv[:, -1]
     worst = int(np.argmin(smin_per_face))
     if smin_per_face[worst] <= default_rank_rtol(a.m, a.n, a.p) * float(sv.max()):
@@ -58,7 +58,7 @@ def inverse(a: Tensor3) -> Tensor3:
             face=worst,
             smin=float(smin_per_face[worst]),
         )
-    return from_faces(np.linalg.inv(faces), a.p, half)
+    return from_faces(_per_face(np.linalg.inv, faces, ((a.n, a.n), faces.dtype)), a.p, half)
 
 
 def is_unitary(q: Tensor3, tol=1e-10) -> bool:

@@ -235,7 +235,7 @@ def fnorm(a: Tensor3) -> float:
 
 def specnorm(a: Tensor3) -> float:
     """Largest tubal singular value (spectral norm of bcirc(a))."""
-    from .spectral import to_faces
+    from .spectral import _svdvals, to_faces
 
     _, (faces,) = to_faces(a)
-    return float(np.linalg.svd(faces, compute_uv=False).max())
+    return float(_svdvals(faces).max())

@@ -43,7 +43,8 @@ from .errors import (
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
-from .spectral import _CHUNK, _EPS, _each_slice, from_faces, isometry, tcsvd, to_faces
+from .spectral import (_CHUNK, _EPS, _ct, _each_slice, _matmul, from_faces, isometry, tcsvd,
+                       to_faces)
 
 _SERIES_CAP = 500
 _SERIES_RTOL = 1e-12
@@ -356,7 +357,7 @@ def _eig_chunk(d, f):
     if herm.any():
         w, v = np.linalg.eigh(d[herm])
         fw = _values_on(f, w.astype(np.complex128))
-        out[herm] = (v * fw[:, None, :]) @ v.conj().swapaxes(-2, -1)
+        out[herm] = _matmul(v * fw[:, None, :], _ct(v))
     if not herm.all():
         idx = np.flatnonzero(~herm)
         w, v = np.linalg.eig(d[idx])
@@ -365,7 +366,7 @@ def _eig_chunk(d, f):
         good = ~fallback[idx]
         if good.any():
             v = v[good]
-            out[idx[good]] = (v * _values_on(f, w[good])[:, None, :]) @ np.linalg.inv(v)
+            out[idx[good]] = _matmul(v * _values_on(f, w[good])[:, None, :], np.linalg.inv(v))
     return out, fallback
 
 
@@ -400,9 +401,9 @@ def _expm_chunk(d):
     b = _PADE13
     s1 = _squarings(np.log2(_onenorm(d)))
     d = d / np.exp2(s1)[:, None, None]
-    d2 = d @ d
-    d4 = d2 @ d2
-    d6 = d4 @ d2
+    d2 = _matmul(d, d)
+    d4 = _matmul(d2, d2)
+    d6 = _matmul(d4, d2)
     log2_alpha = np.maximum(np.log2(_onenorm(d4)) / 4, np.log2(_onenorm(d6)) / 6) + s1
     want = _squarings(log2_alpha)
     s = np.clip(want, s1 - _MAX_SAVED, s1)
@@ -412,15 +413,15 @@ def _expm_chunk(d):
     d4 *= up**4
     d6 *= up**6
     eye = np.eye(d.shape[-1])
-    u = d @ (d6 @ (b[13] * d6 + b[11] * d4 + b[9] * d2)
-             + b[7] * d6 + b[5] * d4 + b[3] * d2 + b[1] * eye)
-    v = (d6 @ (b[12] * d6 + b[10] * d4 + b[8] * d2)
+    u = _matmul(d, _matmul(d6, b[13] * d6 + b[11] * d4 + b[9] * d2)
+                + b[7] * d6 + b[5] * d4 + b[3] * d2 + b[1] * eye)
+    v = (_matmul(d6, b[12] * d6 + b[10] * d4 + b[8] * d2)
          + b[6] * d6 + b[4] * d4 + b[2] * d2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
     for j in range(int(s.max(initial=0))):
         sq = s > j
         rs = r[sq]
-        r[sq] = rs @ rs
+        r[sq] = _matmul(rs, rs)
     return r, want < s1 - _MAX_SAVED
 
 

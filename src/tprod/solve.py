@@ -57,7 +57,7 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _looks_real_analytic, _require_f_zero
-from .spectral import (_CHUNK, _EPS, TCsvd, _per_face, csvd_faces, from_faces, isometry,
+from .spectral import (_CHUNK, _EPS, TCsvd, _matmul, _per_face, csvd_faces, from_faces, isometry,
                        require_finite, tcsvd, to_faces)
 
 DEFAULT_NODES = 256
@@ -89,7 +89,7 @@ def lstsq(a: Tensor3, b: Tensor3) -> Tensor3:
     if a.m != b.m or a.p != b.p:
         raise DimMismatch(f"lstsq shapes do not conform: {a.shape} vs {b.shape}")
     half, (fb,) = to_faces(b, allow_half=a.exactly_real)
-    return from_faces(_pinv_faces(a, half) @ fb, a.p, half)
+    return from_faces(_matmul(_pinv_faces(a, half), fb), a.p, half)
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3) -> SolveResult:
     def faces(t):
         return to_faces(t, allow_half=half)[1][0]
 
-    xf = _pinv_faces(a, half) @ faces(d) @ _pinv_faces(b, half)
+    xf = _matmul(_matmul(_pinv_faces(a, half), faces(d)), _pinv_faces(b, half))
     x = from_faces(xf, p, half)
-    rf = faces(a) @ xf @ faces(b)
+    rf = _matmul(_matmul(faces(a), xf), faces(b))
     df = faces(d)
     rf -= df
     # Parseval; on a half spectrum faces 1..(p-1)//2 count twice, for their conjugate partners
@@ -472,14 +472,14 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     bmat = (faces - center * eye) / rad
     powers = [np.broadcast_to(eye, faces.shape)]
     for _ in range(s - 1):
-        powers.append(powers[-1] @ bmat)
-    bs = powers[-1] @ bmat
+        powers.append(_matmul(powers[-1], bmat))
+    bs = _matmul(powers[-1], bmat)
     blocks = np.tensordot(kept.reshape(-1, s), np.stack(powers), axes=1)
     poly = blocks[-1]
     for blk in blocks[-2::-1]:
-        poly = poly @ bs + blk
+        poly = _matmul(poly, bs) + blk
     if rhs:
-        poly = poly @ rhs[0]
+        poly = _matmul(poly, rhs[0])
     # ||B^N|| <= ||B^s||^(N // s) ||B^(N mod s)||: where it is at most eps, (I - B^N)^-1
     # is I to rounding. A bound that overflows is inf or nan and keeps the face's solve.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,7 +10,11 @@ so the T-product becomes an independent matrix product per face. Every
 module reaches the faces through :func:`to_faces` and leaves through
 :func:`from_faces`, running one batched kernel over the face stack in
 between; :func:`_each_slice` spreads a large stack's slices over the CPUs
-the process may use. For a real tensor the faces come in conjugate pairs
+the process may use. Products of face stacks go through :func:`_matmul`:
+numpy's ``@`` makes one BLAS call per face, which costs more than the
+arithmetic of a small face, so an inner dimension of 1 or 2 is formed as
+broadcast multiply-adds over the whole stack; from 3 up those lose on short
+stacks, and ``@`` stays. For a real tensor the faces come in conjugate pairs
 D_{p-k} = conj(D_k), so the layer keeps only the half spectrum, faces
 0..p//2 (``rfft``), and :func:`from_faces` alone decides whether the result
 is real. :func:`mirror` rebuilds all p faces where a kernel breaks the
@@ -45,6 +49,12 @@ _CHUNK = 1 << 16
 # where h n^3 does not; on 4096 elements (64 faces of order 8, 1.2 ms) a helper
 # thread's hand-off took all it saved.
 _THREAD_WORK = 1 << 13
+# the largest inner dimension that _matmul forms as broadcast multiply-adds. numpy's @
+# makes one BLAS call per face: on a 2-vCPU Xeon with one BLAS thread a stack of 4096
+# complex 2x2 faces took 1.16 ms that way and 0.24 ms as two multiply-adds. At k = 3 and 4
+# the multiply-adds lose up to 5x on stacks of 1 to 16 faces, and at k = 4 on 4096 faces
+# too. Face stacks are complex (the DFT's output); two real 2x2 stacks would be faster on @.
+_BROADCAST_INNER = 2
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -167,6 +177,30 @@ def _svd(faces, full_matrices):
     mu, nv = (m, n) if full_matrices else (k, k)
     return _per_face(lambda d: np.linalg.svd(d, full_matrices=full_matrices), faces,
                      ((m, mu), faces.dtype), ((k,), np.float64), ((nv, n), faces.dtype))
+
+
+def _svdvals(faces):
+    """Singular values of every face of a stack, through :func:`_per_face`."""
+    _, m, n = faces.shape
+    return _per_face(lambda d: np.linalg.svd(d, compute_uv=False), faces,
+                     ((min(m, n),), np.float64))
+
+
+def _matmul(a, b):
+    """``a @ b`` for face stacks; an inner dimension k of 1 to ``_BROADCAST_INNER`` skips BLAS.
+
+    Such a product is the sum of k broadcast outer products, column j of
+    ``a`` times row j of ``b``, on every face at once. Any other k, 0
+    included, and operands that do not conform go to ``@``. Batch
+    dimensions broadcast as they do for ``@``, and the result has its dtype.
+    """
+    k = a.shape[-1]
+    if not 0 < k <= _BROADCAST_INNER or b.shape[-2] != k:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, k):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
 
 
 def default_rank_rtol(m, n, p):
@@ -335,8 +369,8 @@ class TCsvd:
         vals = vals[: uf.shape[0], None, :]
         if adjoint:
             # V diag(vals) U^H is the conjugate transpose of U diag(conj(vals)) V^H
-            return _ct((uf * vals.conj()) @ vhf), half
-        return (uf * vals) @ vhf, half
+            return _ct(_matmul(uf * vals.conj(), vhf)), half
+        return _matmul(uf * vals, vhf), half
 
     def rebuild(self, vals, adjoint=False) -> Tensor3:
         """U_r * diag(vals) * V_r^H, or V_r * diag(vals) * U_r^H when ``adjoint``.
@@ -389,8 +423,8 @@ def projectors(c: TCsvd):
     """
     mask = (c.sigma[: c.uf.shape[0]] > 0.0)[:, None, :]
     vf = _ct(c.vhf)
-    q_left = from_faces((c.uf * mask) @ _ct(c.uf), c.p, c.half)
-    q_right = from_faces((vf * mask) @ c.vhf, c.p, c.half)
+    q_left = from_faces(_matmul(c.uf * mask, _ct(c.uf)), c.p, c.half)
+    q_right = from_faces(_matmul(vf * mask, c.vhf), c.p, c.half)
     return q_left, q_right
 
 

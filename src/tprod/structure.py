@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .genfun import ScalarFn, gfun, named_scalar_fn, standard_tfn
-from .spectral import default_rank_rtol, from_faces, to_faces
+from .spectral import _ct, _matmul, default_rank_rtol, from_faces, to_faces
 
 _TINY = 1e-300
 
@@ -323,7 +323,7 @@ def random_member(cls, shape, seed=0) -> Tensor3:
         z = rng.standard_normal((p, n, n)) + 1j * rng.standard_normal((p, n, n))
         q, _ = np.linalg.qr(z)
         d = rng.standard_normal((p, 1, n)) + 1j * rng.standard_normal((p, 1, n))
-        out = from_faces((q * d) @ q.conj().swapaxes(-1, -2), p, half=False)
+        out = from_faces(_matmul(q * d, _ct(q)), p, half=False)
     elif name in ("f_circulant", "f_block_circulant"):
         out = Tensor3(_project_block_circulant(rng.standard_normal((p, m, n)), cls.q or 1))
     elif name == "doubly_f_stochastic":

@@ -22,7 +22,7 @@ from tprod import (
 )
 
 from tprod.errors import NonFinite
-from tprod.spectral import from_faces, mirror, to_faces
+from tprod.spectral import _matmul, from_faces, mirror, to_faces
 
 from conftest import rand3, rand_low_rank
 
@@ -298,3 +298,35 @@ def test_non_finite_input_rejected_before_lapack(rng, entry, bad):
     }
     with pytest.raises(NonFinite):
         calls[entry]()
+
+
+def _stack(rng, shape, cplx):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if cplx else x
+
+
+@pytest.mark.parametrize("h", [1, 4096])
+@pytest.mark.parametrize("cplx_a, cplx_b", [(True, True), (False, True), (True, False),
+                                            (False, False)],
+                         ids=["complex", "real-complex", "complex-real", "real"])
+@pytest.mark.parametrize("k", range(6))
+def test_face_matmul_matches_matmul(rng, k, cplx_a, cplx_b, h):
+    # 3 x k times k x 2: k = 1, 2 take the multiply-adds, k = 0 and k >= 3 take @
+    a, b = _stack(rng, (h, 3, k), cplx_a), _stack(rng, (h, k, 2), cplx_b)
+    want, got = a @ b, _matmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    tol = 4 * np.finfo(float).eps * np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
+    assert (np.abs(got - want).max(axis=(1, 2), initial=0.0) <= tol).all()
+    with pytest.raises(ValueError):
+        _matmul(a, _stack(rng, (h, k + 1, 2), cplx_b))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_face_matmul_reads_a_broadcast_operand(rng, k):
+    # the contour oracle's first power is a read-only broadcast identity
+    eye = np.broadcast_to(np.eye(k), (64, k, k))
+    b = _stack(rng, (64, k, k), True)
+    before = b.copy()
+    for got, want in ((_matmul(eye, b), eye @ b), (_matmul(b, eye), b @ eye)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(b, before)

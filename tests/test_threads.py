@@ -14,8 +14,8 @@ import pytest
 
 from conftest import rand3
 
-from tprod import Tensor3, genfun, named_scalar_fn, pinv, solve_axb, spectral, standard_tfn
-from tprod import tcsvd, tsvd
+from tprod import Tensor3, genfun, inverse, named_scalar_fn, pinv, solve_axb, spectral, specnorm
+from tprod import standard_tfn, tcsvd, tsvd
 from tprod.errors import FnDomainError
 from tprod.solve import standard_fn_contour
 
@@ -36,6 +36,7 @@ def _results(a, b, d):
     yield from (c.sigma, c.uf, c.vhf, c.Ur.data, c.Sr.data, c.Vr.data)
     yield from (t.U.data, t.S.data, t.V.data)
     yield pinv(a).data
+    yield from (inverse(a).data, specnorm(a))
     res = solve_axb(a, b, d)
     yield from (res.x.data, res.residual)
     for name in ("exp", "sinh"):
@@ -43,12 +44,15 @@ def _results(a, b, d):
     yield standard_fn_contour(a, named_scalar_fn("exp")).data
 
 
-@pytest.mark.parametrize("cplx, p", [(False, 64), (True, 32)], ids=["real", "complex"])
-def test_threaded_faces_equal_one_call_bitwise(rng, monkeypatch, cplx, p):
-    # 16 x 16 faces, 33 (half spectrum) or 32 of them: at or above the threading threshold
-    a, b, d = (_scaled(rng, 16, p, cplx) for _ in range(3))
+@pytest.mark.parametrize("cplx, n, p", [(False, 16, 64), (True, 16, 32), (False, 2, 4096),
+                                         (True, 2, 2048)],
+                         ids=["real", "complex", "real-2x2", "complex-2x2"])
+def test_threaded_faces_equal_one_call_bitwise(rng, monkeypatch, cplx, n, p):
+    # 16 x 16 faces, 33 (half spectrum) or 32 of them, and 2 x 2 faces, 2049 or 2048 of
+    # them, whose products are broadcast multiply-adds: at or above the threading threshold
+    a, b, d = (_scaled(rng, n, p, cplx) for _ in range(3))
     h = p // 2 + 1 if not cplx else p
-    assert h * 16**2 >= spectral._THREAD_WORK
+    assert h * n**2 >= spectral._THREAD_WORK
     runs = {}
     for count in (1, 2, 3):
         _cpus(monkeypatch, count)
