@@ -58,7 +58,7 @@ def inverse(a: Tensor3) -> Tensor3:
             face=worst,
             smin=float(smin_per_face[worst]),
         )
-    return from_faces(_per_face(np.linalg.inv, faces, ((a.n, a.n), faces.dtype)), a.p, half)
+    return from_faces(_per_face(np.linalg.inv, (faces,), ((a.n, a.n), faces.dtype)), a.p, half)
 
 
 def is_unitary(q: Tensor3, tol=1e-10) -> bool:

@@ -12,12 +12,13 @@ token a Python complex literal with a trailing ``i`` in place of ``j``
 (``1_0+2i`` and ``2i`` parse; ``3``, ``1+2j``, ``(1+2i)`` and a bare
 ``i`` do not).
 
-Both readers reject a zero dimension and any non-finite value. The binary
-reader checks the payload size the header declares against the bytes left
-in the file before it reads. A ``real64`` file reads into a float64 tensor
-and a ``complex128`` file into a complex128 one (float64 when every
-imaginary part is zero); a writer tags a tensor by its stored dtype unless
-``force_complex`` is set.
+Both readers reject a zero dimension and any non-finite value, and check
+that the file can hold the values its header declares before they allocate
+them: the binary reader against the bytes left in the file, the text reader
+against its line count and line lengths. A ``real64`` file reads into a
+float64 tensor and a ``complex128`` file into a complex128 one (float64 when
+every imaginary part is zero); a writer tags a tensor by its stored dtype
+unless ``force_complex`` is set.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ def read_text(path) -> Tensor3:
             raise FileFormatError(f"{path}: line {lineno} has {len(toks)} values, expected {n}")
         return toks
 
+    # n values take at least 2n - 1 characters: where a line is shorter, the lines are
+    # checked in order before m n p values are allocated, and the first wrong one raises
+    if min(map(len, body)) < 2 * n - 1:
+        for lineno, line in enumerate(body, 2):
+            row(lineno, line)
     # one line's tokens at a time, parsed straight into the array
     tokens = itertools.chain.from_iterable(map(row, itertools.count(2), body))
     kind, parse, dtype = (("complex", _parse_complex, np.complex128) if complex_file

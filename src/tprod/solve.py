@@ -101,10 +101,12 @@ class SolveResult:
 def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3) -> SolveResult:
     """Best-consistent solution of A * X * B = D with its consistency residual.
 
-    Face by face X_k = A_k^+ D_k B_k^+. The residual |A*X*B - D| / |D|, read on
-    the faces by Parseval, vanishes exactly when D = P_range(A) * D * P_range(B^H).
-    Each operand is transformed where it is used and again for the residual,
-    so no two face stacks of A, B and D are held at once.
+    Face by face X_k = (A_k^+ D_k) B_k^+. The residual |A*X*B - D| / |D|, read
+    on the faces by Parseval, vanishes exactly when D = P_range(A) * D *
+    P_range(B^H). The solution and the residual are each one pass over
+    slices of the face stacks, so no full-size product or residual stack is
+    built; D is transformed once for both, and A and B are transformed again
+    for the residual only once their pseudoinverses are gone.
     """
     if d.m != a.m or d.n != b.n or a.p != b.p or a.p != d.p:
         raise DimMismatch(f"solve shapes do not conform: A {a.shape}, B {b.shape}, D {d.shape}")
@@ -114,17 +116,34 @@ def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3) -> SolveResult:
     def faces(t):
         return to_faces(t, allow_half=half)[1][0]
 
-    xf = _matmul(_matmul(_pinv_faces(a, half), faces(d)), _pinv_faces(b, half))
-    x = from_faces(xf, p, half)
-    rf = _matmul(_matmul(faces(a), xf), faces(b))
+    ap = _pinv_faces(a, half)
+    bp = _pinv_faces(b, half)
     df = faces(d)
-    rf -= df
+    (h, n, m), (q, s) = ap.shape, bp.shape[1:]
+    xf = _per_face(_solution, (ap, df, bp), ((n, s), df.dtype), madds=h * n * q * (m + s))
+    del ap, bp
+    rn, dn = _per_face(_residual_norms, (faces(a), xf, faces(b), df), ((), np.float64),
+                       ((), np.float64), madds=h * m * s * (n + q))
+    del df
+    x = from_faces(xf, p, half)
     # Parseval; on a half spectrum faces 1..(p-1)//2 count twice, for their conjugate partners
-    w = np.ones(len(df))
+    w = np.ones(h)
     w[1:(p + 1) // 2] = 2.0 if half else 1.0
-    dn, rn = (float(np.sqrt(w @ np.linalg.norm(f, axis=(1, 2)) ** 2)) for f in (df, rf))
+    dn, rn = (float(np.sqrt(w @ f ** 2)) for f in (dn, rn))
     residual = 0.0 if dn == 0.0 else rn / dn
     return SolveResult(x=x, residual=residual)
+
+
+def _solution(ap, df, bp):
+    """(A^+ D) B^+ on every face."""
+    return _matmul(_matmul(ap, df), bp)
+
+
+def _residual_norms(fa, xf, fb, df):
+    """Frobenius norms of (A X) B - D and of D on every face."""
+    rf = _matmul(_matmul(fa, xf), fb)
+    rf -= df
+    return np.linalg.norm(rf, axis=(1, 2)), np.linalg.norm(df, axis=(1, 2))
 
 
 @dataclass
@@ -432,7 +451,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
     real_centres = contour is None or not contour.centers.imag.any()
     half, (faces, *rhs) = to_faces(*((a,) if b is None else (a, b)),
                                    allow_half=real_centres and _looks_real_analytic(f))
-    eigs = _per_face(np.linalg.eigvals, faces, ((a.n,), np.complex128)).ravel()
+    eigs = _per_face(np.linalg.eigvals, (faces,), ((a.n,), np.complex128)).ravel()
     # the margin guard below refuses an eigenvalue nearer than 1e-8 * scale to the circle
     scale = max(float(np.abs(eigs).max()), 1.0)
     if contour is None:

@@ -14,7 +14,16 @@ the process may use. Products of face stacks go through :func:`_matmul`:
 numpy's ``@`` makes one BLAS call per face, which costs more than the
 arithmetic of a small face, so an inner dimension of 1 or 2 is formed as
 broadcast multiply-adds over the whole stack; from 3 up those lose on short
-stacks, and ``@`` stays. For a real tensor the faces come in conjugate pairs
+stacks, and ``@`` stays. A face-product chain (a product in
+:func:`_matmul`, the scale-multiply-transpose of :meth:`TCsvd.rebuild_faces`
+behind pinv, gfun and isometry, :func:`projectors`, and the solution and
+residual of ``solve_axb``) runs each slice through its whole chain into one
+preallocated output, on every CPU once it reaches ``_PRODUCT_WORK``
+multiply-adds. Smaller products stay on the calling thread: per-face BLAS
+calls from two threads contend, and a threaded 4x4x1024 complex product
+took 602 us against 267 us on one. A thread already working a slice starts
+no helpers, so a product inside a threaded kernel never waits on the pool it
+runs in. For a real tensor the faces come in conjugate pairs
 D_{p-k} = conj(D_k), so the layer keeps only the half spectrum, faces
 0..p//2 (``rfft``), and :func:`from_faces` alone decides whether the result
 is real. :func:`mirror` rebuilds all p faces where a kernel breaks the
@@ -55,9 +64,24 @@ _THREAD_WORK = 1 << 13
 # the multiply-adds lose up to 5x on stacks of 1 to 16 faces, and at k = 4 on 4096 faces
 # too. Face stacks are complex (the DFT's output); two real 2x2 stacks would be faster on @.
 _BROADCAST_INNER = 2
+# a face-product chain of fewer multiply-adds (h m k n per product) than this stays on
+# the calling thread. On a 2-vCPU Xeon with one BLAS thread one complex product split
+# over two threads took 3.13 -> 1.90 ms on 128x128x16 and 0.31 -> 0.28 ms on 32x32x64
+# (2^21 each), but 91 -> 194 us on 8x8x256 and 267 -> 602 us on 4x4x1024: per-face BLAS
+# calls from two threads contend. _THREAD_WORK counts elements and would split the last two.
+_PRODUCT_WORK = 1 << 21
 
 _pool = None
 _pool_lock = threading.Lock()
+
+
+class _Slices(threading.local):
+    # set on a thread while it works slices of a split stack: whatever it runs there
+    # stays on it, so a helper never waits on the pool it belongs to
+    busy = False
+
+
+_slices = _Slices()
 
 
 def _cpus():
@@ -88,23 +112,28 @@ def _helpers(count):
 
 def _threaded(h, n):
     """Whether :func:`_each_slice` splits a stack of h faces of order n over threads."""
-    return h * n * n >= _THREAD_WORK and _cpus() > 1
+    return h * n * n >= _THREAD_WORK and _cpus() > 1 and not _slices.busy
 
 
-def _each_slice(h, n, work, chunk=None):
+def _chained(madds):
+    """Whether a face-product chain of ``madds`` multiply-adds is split over threads."""
+    return madds >= _PRODUCT_WORK and _cpus() > 1 and not _slices.busy
+
+
+def _each_slice(h, n, work, chunk=None, threaded=None):
     """Call ``work(part)`` for contiguous slices ``part`` covering h faces of order n.
 
-    Where :func:`_threaded` holds, the stack is cut into slices of about
-    ``_CHUNK / n^2`` faces, at least one per CPU, and the calling thread and
-    ``cpus - 1`` helper threads take them in turn. numpy's LAPACK and matmul
-    loops release the GIL and every face is worked on its own, so the
-    results are those of one call on the whole stack. Otherwise the stack
-    stays on the calling thread as one slice, or as slices of
-    ``chunk / n^2`` faces when ``chunk`` is given. Helpers run under the
-    caller's ``np.geterr()``. An exception is raised once every slice is
-    done: the one of the lowest slice that raised, as a loop would.
+    Where ``threaded`` holds (by default :func:`_threaded`), the stack is
+    cut into slices of about ``_CHUNK / n^2`` faces, at least one per CPU,
+    and the calling thread and ``cpus - 1`` helper threads take them in
+    turn. numpy's LAPACK and matmul loops release the GIL and every face is
+    worked on its own, so the results are those of one call on the whole
+    stack. Otherwise the stack stays on the calling thread as one slice, or
+    as slices of ``chunk / n^2`` faces when ``chunk`` is given. Helpers run
+    under the caller's ``np.geterr()``. An exception is raised once every
+    slice is done: the one of the lowest slice that raised, as a loop would.
     """
-    if not _threaded(h, n):
+    if not (_threaded(h, n) if threaded is None else threaded):
         step = h if chunk is None else max(1, chunk // (n * n))
         for i in range(0, h, step):
             work(slice(i, i + step))
@@ -118,15 +147,19 @@ def _each_slice(h, n, work, chunk=None):
     errors = [None] * len(parts)
 
     def drain():
-        while True:
-            try:
-                i = todo.popleft()
-            except IndexError:
-                return
-            try:
-                work(parts[i])
-            except BaseException as exc:  # raised below, in slice order
-                errors[i] = exc
+        _slices.busy = True
+        try:
+            while True:
+                try:
+                    i = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    work(parts[i])
+                except BaseException as exc:  # raised below, in slice order
+                    errors[i] = exc
+        finally:
+            _slices.busy = False
 
     def helper(err):
         with np.errstate(**err):
@@ -148,25 +181,27 @@ def _each_slice(h, n, work, chunk=None):
             raise exc
 
 
-def _per_face(kernel, faces, *outs):
-    """``kernel(faces)`` for a kernel that treats each face of an (h, m, n) stack on its own.
+def _per_face(kernel, stacks, *outs, madds=None):
+    """``kernel(*stacks)`` for a kernel that treats each face of (h, ...) stacks on its own.
 
     ``outs`` gives the trailing shape and dtype of each array the kernel
-    returns. Where :func:`_threaded` holds, the slices run by
-    :func:`_each_slice` and each writes into arrays allocated up front;
-    otherwise this is one call on the whole stack.
+    returns. A factorization (no ``madds``) is split where :func:`_threaded`
+    holds for the first stack, a product chain of ``madds`` multiply-adds
+    where :func:`_chained` does. The slices then run by :func:`_each_slice`,
+    each on the same slice of every stack, and write into arrays allocated up
+    front; otherwise this is one call on the whole stacks.
     """
-    h, m, n = faces.shape
-    if not _threaded(h, max(m, n)):
-        return kernel(faces)
+    h, m, n = stacks[0].shape
+    if not (_threaded(h, max(m, n)) if madds is None else _chained(madds)):
+        return kernel(*stacks)
     out = [np.empty((h, *shape), dtype) for shape, dtype in outs]
 
     def work(part):
-        res = kernel(faces[part])
+        res = kernel(*(s[part] for s in stacks))
         for o, x in zip(out, res if len(out) > 1 else (res,)):
             o[part] = x
 
-    _each_slice(h, max(m, n), work)
+    _each_slice(h, max(max(s.shape[1:]) for s in stacks), work, threaded=True)
     return tuple(out) if len(out) > 1 else out[0]
 
 
@@ -175,14 +210,14 @@ def _svd(faces, full_matrices):
     _, m, n = faces.shape
     k = min(m, n)
     mu, nv = (m, n) if full_matrices else (k, k)
-    return _per_face(lambda d: np.linalg.svd(d, full_matrices=full_matrices), faces,
+    return _per_face(lambda d: np.linalg.svd(d, full_matrices=full_matrices), (faces,),
                      ((m, mu), faces.dtype), ((k,), np.float64), ((nv, n), faces.dtype))
 
 
 def _svdvals(faces):
     """Singular values of every face of a stack, through :func:`_per_face`."""
     _, m, n = faces.shape
-    return _per_face(lambda d: np.linalg.svd(d, compute_uv=False), faces,
+    return _per_face(lambda d: np.linalg.svd(d, compute_uv=False), (faces,),
                      ((min(m, n),), np.float64))
 
 
@@ -193,8 +228,16 @@ def _matmul(a, b):
     ``a`` times row j of ``b``, on every face at once. Any other k, 0
     included, and operands that do not conform go to ``@``. Batch
     dimensions broadcast as they do for ``@``, and the result has its dtype.
+    Two (h, ...) stacks whose product takes ``_PRODUCT_WORK`` multiply-adds
+    or more are multiplied by slices through :func:`_per_face`; on a thread
+    working a slice :func:`_chained` is false, so each slice is one call here.
     """
     k = a.shape[-1]
+    madds = a.size * b.shape[-1]
+    if (madds >= _PRODUCT_WORK and a.ndim == 3 and b.shape[:-1] == (len(a), k)
+            and _chained(madds)):
+        return _per_face(_matmul, (a, b), ((a.shape[1], b.shape[-1]), np.result_type(a, b)),
+                         madds=madds)
     if not 0 < k <= _BROADCAST_INNER or b.shape[-2] != k:
         return a @ b
     out = a[..., :, :1] * b[..., :1, :]
@@ -367,10 +410,14 @@ class TCsvd:
         half = self.half and not np.iscomplexobj(vals)
         uf, vhf = (self.uf, self.vhf) if half else self.full_frames
         vals = vals[: uf.shape[0], None, :]
+        # the frames are complex, as the forward DFT's output is
+        out = ((uf.shape[1], vhf.shape[-1]), uf.dtype)
+        madds = uf.size * vhf.shape[-1]
         if adjoint:
             # V diag(vals) U^H is the conjugate transpose of U diag(conj(vals)) V^H
-            return _ct(_matmul(uf * vals.conj(), vhf)), half
-        return _matmul(uf * vals, vhf), half
+            faces = _per_face(_scaled_ct, (uf, vals.conj(), vhf), out, madds=madds)
+            return faces.swapaxes(-1, -2), half
+        return _per_face(_scaled, (uf, vals, vhf), out, madds=madds), half
 
     def rebuild(self, vals, adjoint=False) -> Tensor3:
         """U_r * diag(vals) * V_r^H, or V_r * diag(vals) * U_r^H when ``adjoint``.
@@ -381,6 +428,17 @@ class TCsvd:
         """
         faces, half = self.rebuild_faces(vals, adjoint)
         return from_faces(faces, self.p, half)
+
+
+def _scaled(u, s, vh):
+    """u diag(s) vh on every face."""
+    return _matmul(u * s, vh)
+
+
+def _scaled_ct(u, s, vh):
+    """conj(u diag(s) vh) on every face; its swapped axes are the conjugate transpose."""
+    out = _matmul(u * s, vh)
+    return np.conjugate(out, out=out)
 
 
 def csvd_faces(faces, p, half) -> TCsvd:
@@ -422,10 +480,22 @@ def projectors(c: TCsvd):
     pseudoinverse projectors.
     """
     mask = (c.sigma[: c.uf.shape[0]] > 0.0)[:, None, :]
-    vf = _ct(c.vhf)
-    q_left = from_faces(_matmul(c.uf * mask, _ct(c.uf)), c.p, c.half)
-    q_right = from_faces(_matmul(vf * mask, c.vhf), c.p, c.half)
+    (h, m, r), n = c.uf.shape, c.n
+    q_left = from_faces(_per_face(_left_projector, (c.uf, mask), ((m, m), c.uf.dtype),
+                                  madds=h * m * r * m), c.p, c.half)
+    q_right = from_faces(_per_face(_right_projector, (c.vhf, mask), ((n, n), c.vhf.dtype),
+                                   madds=h * n * r * n), c.p, c.half)
     return q_left, q_right
+
+
+def _left_projector(u, mask):
+    """U diag(mask) U^H on every face."""
+    return _matmul(u * mask, _ct(u))
+
+
+def _right_projector(vh, mask):
+    """V diag(mask) V^H on every face, from the rows of V^H."""
+    return _matmul(_ct(vh) * mask, vh)
 
 
 @dataclass(frozen=True)

@@ -604,6 +604,13 @@ def test_cli_oversized_binary_header_is_io_error(tmp_path, capsys):
     _assert_io_exit(["info", str(path)], capsys)
 
 
+def test_oversized_text_header_is_refused_before_allocating(tmp_path, capsys):
+    # one value line cannot hold 10^12 values: refused before 7 TiB is asked for
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1000000000000 1 real64\n1.0\n")
+    _refused(read_text, path, "line 2 has 1 values, expected 1000000000000", capsys)
+
+
 def test_cli_zero_dimension_is_io_error(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("0 2 1 real64\n")

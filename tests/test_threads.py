@@ -14,8 +14,8 @@ import pytest
 
 from conftest import rand3
 
-from tprod import Tensor3, genfun, inverse, named_scalar_fn, pinv, solve_axb, spectral, specnorm
-from tprod import standard_tfn, tcsvd, tsvd
+from tprod import Tensor3, genfun, gfun, inverse, lstsq, named_scalar_fn, pinv, projectors
+from tprod import solve_axb, spectral, specnorm, standard_tfn, tcsvd, tprod, tsvd
 from tprod.errors import FnDomainError
 from tprod.solve import standard_fn_contour
 
@@ -39,6 +39,8 @@ def _results(a, b, d):
     yield from (inverse(a).data, specnorm(a))
     res = solve_axb(a, b, d)
     yield from (res.x.data, res.residual)
+    yield from (tprod(a, b).data, gfun(a, named_scalar_fn("sinh")).data, lstsq(a, d).data)
+    yield from (q.data for q in projectors(c))
     for name in ("exp", "sinh"):
         yield standard_tfn(a, named_scalar_fn(name)).data
     yield standard_fn_contour(a, named_scalar_fn("exp")).data
@@ -53,6 +55,23 @@ def test_threaded_faces_equal_one_call_bitwise(rng, monkeypatch, cplx, n, p):
     a, b, d = (_scaled(rng, n, p, cplx) for _ in range(3))
     h = p // 2 + 1 if not cplx else p
     assert h * n**2 >= spectral._THREAD_WORK
+    runs = {}
+    for count in (1, 2, 3):
+        _cpus(monkeypatch, count)
+        runs[count] = list(_results(a, b, d))
+    for count in (2, 3):
+        for one, many in zip(runs[1], runs[count]):
+            assert np.asarray(one).dtype == np.asarray(many).dtype
+            assert np.array_equal(one, many), count
+
+
+@pytest.mark.parametrize("cplx, n, p", [(False, 4, 8), (True, 3, 5), (True, 2, 64)],
+                         ids=["real", "complex", "complex-2x2"])
+def test_threaded_product_chains_equal_one_call_bitwise(rng, monkeypatch, cplx, n, p):
+    # with the product threshold at 1 every face-product chain of these small stacks is
+    # split over the threads, and a chain of 2x2 faces takes broadcast multiply-adds
+    monkeypatch.setattr(spectral, "_PRODUCT_WORK", 1)
+    a, b, d = (_scaled(rng, n, p, cplx) for _ in range(3))
     runs = {}
     for count in (1, 2, 3):
         _cpus(monkeypatch, count)
@@ -169,4 +188,39 @@ def test_forked_child_builds_its_own_helpers(rng, monkeypatch):
         child.kill()
         child.join()
         pytest.fail("the forked child hung in the face threads")
+    assert child.exitcode == 0
+
+
+def _child_exp(a, want):
+    helpers = []
+    pade = genfun._expm_chunk
+
+    def spy(d):
+        helpers.append(threading.current_thread().name.startswith("tprod-faces"))
+        return pade(d)
+
+    genfun._expm_chunk = spy
+    got = standard_tfn(a, named_scalar_fn("exp")).data
+    raise SystemExit(0 if np.array_equal(got, want) and any(helpers) else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_products_inside_a_threaded_slice_start_no_helpers(rng, monkeypatch):
+    # the Pade kernel's two slices run on the calling thread and a helper, and with the
+    # product threshold at 1 each of their products would be split again: on the helper,
+    # a split that submitted to the pool would wait on the helper itself
+    a = _scaled(rng, 16, 64, True)
+    _cpus(monkeypatch, 1)
+    want = standard_tfn(a, named_scalar_fn("exp")).data
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(spectral, "_PRODUCT_WORK", 1)
+    child = multiprocessing.get_context("fork").Process(target=_child_exp, args=(a, want))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a product inside a threaded slice waited on the face threads")
     assert child.exitcode == 0
