@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bcirc, conj_transpose, fnorm, fold, transpose, unfold
+from .core import Tensor3, bcirc, conj_transpose, fold, transpose, unfold
 from .errors import DimMismatch, InvalidArgument, Singular
-from .spectral import _matmul, _per_face, _svdvals, default_rank_rtol, from_faces, to_faces
+from .spectral import (_ct, _matmul, _parseval_norm, _per_face, _svdvals, default_rank_rtol,
+                       from_faces, to_faces)
 
 
 def first_slice(mat, p) -> Tensor3:
@@ -62,23 +63,24 @@ def inverse(a: Tensor3) -> Tensor3:
 
 
 def is_unitary(q: Tensor3, tol=1e-10) -> bool:
-    """True when q^H * q and q * q^H are both within ``tol`` of identity in fnorm."""
+    """True when q^H * q and q * q^H are both within ``tol`` of identity in fnorm.
+
+    Both defects are read on the faces of q by Parseval: the identity's faces are all I.
+    """
     if q.m != q.n:
         return False
-    eye = identity(q.n, q.p)
-    qh = conj_transpose(q)
-    return (
-        fnorm(tprod(qh, q) - eye) <= tol
-        and fnorm(tprod(q, qh) - eye) <= tol
-    )
+    half, (faces,) = to_faces(q)
+    eye = np.eye(q.n)
+    return all(_parseval_norm(np.linalg.norm(g - eye, axis=(1, 2)), q.p, half) <= tol
+               for g in (_matmul(_ct(faces), faces), _matmul(faces, _ct(faces))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormKind:
     """A bilinear or sesquilinear form <x, y> = x^T * T * y (or x^H * T * y).
 
-    ``tensor`` must be F-square and invertible; its inverse is computed
-    lazily and cached for adjoints.
+    ``tensor`` must be F-square; :func:`adjoint` also needs it invertible,
+    and inverts it on every call: a form holds no cached inverse.
     """
 
     kind: str
@@ -89,11 +91,6 @@ class FormKind:
             raise InvalidArgument(f"kind must be bilinear or sesquilinear, got {self.kind!r}")
         if self.tensor.m != self.tensor.n:
             raise DimMismatch("form tensor must be F-square")
-
-    def inv(self) -> Tensor3:
-        if "_inv" not in vars(self):
-            self._inv = inverse(self.tensor)
-        return self._inv
 
 
 def form_eval(form: FormKind, x: Tensor3, y: Tensor3) -> Tensor3:
@@ -106,9 +103,12 @@ def form_eval(form: FormKind, x: Tensor3, y: Tensor3) -> Tensor3:
 
 
 def adjoint(a: Tensor3, form: FormKind) -> Tensor3:
-    """Adjoint with respect to the form: T^-1 * A^T * T (bilinear) or with A^H."""
+    """Adjoint with respect to the form: T^-1 * A^T * T (bilinear) or with A^H.
+
+    Raises :class:`Singular` when the form tensor is not invertible.
+    """
     t = form.tensor
     if a.m != a.n or a.m != t.n or a.p != t.p:
         raise DimMismatch(f"adjoint needs {t.n}x{t.n}x{t.p}, got {a.shape}")
     mid = transpose(a) if form.kind == "bilinear" else conj_transpose(a)
-    return tprod(form.inv(), tprod(mid, t))
+    return tprod(inverse(t), tprod(mid, t))

@@ -59,11 +59,13 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
-# most squarings alpha may save below the 1-norm's count: the powers formed at
-# that count are then scaled up by at most 2^(6 * 128), which keeps an error
-# from underflow (2^-1074 per operation) below 2^-300; a face that needs more
-# takes the Taylor sum
-_MAX_SAVED = 128
+# most squarings alpha may save below the 1-norm's count; a face that needs more takes
+# the Taylor sum. Alpha bounds the Pade truncation error, not the rounding of the
+# approximant, which grows with the 1-norm of the scaled face and so doubles with each
+# squaring saved: exp of [[1, x, 0], [0, 1.5, x], [0, 0, 2]] read 1.2e-9 from its closed
+# form at x = 1e15, where alpha saves 24, and 1.0 at x = 1e38; on the Taylor sum they read
+# at most 7.8e-16
+_MAX_SAVED = 16
 
 
 def _power_series(series, x, one, mul, norm, cap, rtol):

@@ -57,8 +57,8 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _looks_real_analytic, _require_f_zero
-from .spectral import (_CHUNK, _EPS, TCsvd, _matmul, _per_face, csvd_faces, from_faces, isometry,
-                       require_finite, tcsvd, to_faces)
+from .spectral import (_CHUNK, _EPS, TCsvd, _matmul, _parseval_norm, _per_face, csvd_faces,
+                       from_faces, isometry, require_finite, tcsvd, to_faces)
 
 DEFAULT_NODES = 256
 # the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
@@ -126,10 +126,7 @@ def solve_axb(a: Tensor3, b: Tensor3, d: Tensor3) -> SolveResult:
                        ((), np.float64), madds=h * m * s * (n + q))
     del df
     x = from_faces(xf, p, half)
-    # Parseval; on a half spectrum faces 1..(p-1)//2 count twice, for their conjugate partners
-    w = np.ones(h)
-    w[1:(p + 1) // 2] = 2.0 if half else 1.0
-    dn, rn = (float(np.sqrt(w @ f ** 2)) for f in (dn, rn))
+    dn, rn = (_parseval_norm(f, p, half) for f in (dn, rn))
     residual = 0.0 if dn == 0.0 else rn / dn
     return SolveResult(x=x, residual=residual)
 

@@ -246,6 +246,18 @@ def _matmul(a, b):
     return out
 
 
+def _parseval_norm(norms, p, half):
+    """:func:`tprod.core.fnorm` of a tensor from the Frobenius norms of its :func:`to_faces` faces.
+
+    Parseval: under the unnormalized DFT the faces' squared norms sum to
+    fnorm^2. On a half spectrum faces 1..(p-1)//2 count twice, for their
+    conjugate partners.
+    """
+    w = np.ones(len(norms))
+    w[1:(p + 1) // 2] = 2.0 if half else 1.0
+    return float(np.sqrt(w @ norms ** 2))
+
+
 def default_rank_rtol(m, n, p):
     """Relative rank cutoff: max(m, n) * p * machine epsilon."""
     return max(m, n) * p * _EPS

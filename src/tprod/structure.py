@@ -4,6 +4,15 @@ Every class from the automorphism-group / Lie-algebra / Jordan-algebra
 catalogue is encoded as a (form tensor, bilinear-or-sesquilinear, algebra)
 triple; membership predicates return residuals so near-misses are visible,
 and each class has a constructive random generator for the harness.
+
+Each form tensor holds one real orthogonal matrix M (I, the exchange, a
+signature or J) in its first slice, so a form adjoint is slice algebra,
+M^T A^T M (or A^H), with M^T for M^-1: the Jordan and Lie residuals take no
+transform. The other residuals that multiply general tensors (groups,
+normal, cones) take one forward transform of their operands and read their
+norms on the faces by Parseval, with no inverse transform. The dense
+``bcirc`` routes of :func:`bcirc_commutation_check` are kept apart from
+the face layer as the independent oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FormKind, adjoint, first_slice, identity, is_unitary, tprod
+from .algebra import first_slice, identity, is_unitary
 from .core import (Tensor3, bcirc, block, circulant_index, circulant_means, conj_transpose,
                    fnorm, transpose)
 from .errors import (
@@ -23,7 +32,8 @@ from .errors import (
     UnsupportedClass,
 )
 from .genfun import ScalarFn, gfun, named_scalar_fn, standard_tfn
-from .spectral import _ct, _matmul, default_rank_rtol, from_faces, to_faces
+from .spectral import (_ct, _matmul, _parseval_norm, default_rank_rtol, from_faces,
+                       require_finite, to_faces)
 
 _TINY = 1e-300
 
@@ -61,9 +71,10 @@ def make_permutation(perm, n, p) -> Tensor3:
 class StructClass:
     """A structured-tensor class, possibly with parameters.
 
-    ``a``/``b`` split the signature form; ``q`` (a positive integer) is the
-    circulant block size of F-block-circulant tensors, and F-circulant is
-    q = 1. No other class takes a block size.
+    ``a``/``b`` split the signature form, and only the classes over a
+    signature take them; ``q`` (a positive integer) is the circulant block
+    size of F-block-circulant tensors, and F-circulant is q = 1. No other
+    class takes a block size.
     """
 
     name: str
@@ -72,6 +83,8 @@ class StructClass:
     q: int = None
 
     def __post_init__(self):
+        if (self.a is not None or self.b is not None) and self.name not in _SIGNATURE_CLASSES:
+            raise UnsupportedClass(f"{self.name} takes no signature split")
         if self.q is None:
             return
         if self.name != "f_block_circulant":
@@ -88,7 +101,7 @@ class StructClass:
                 nums = [int(v) for v in args.split(",") if v.strip()]
             except ValueError:
                 raise UnsupportedClass(f"class parameters must be integers, got {text!r}") from None
-            if base in FORM_CLASSES and FORM_CLASSES[base][1] == "S":
+            if base in _SIGNATURE_CLASSES:
                 if len(nums) != 2:
                     raise UnsupportedClass(f"{base} takes two integers, got {text!r}")
                 return cls(base, a=nums[0], b=nums[1])
@@ -148,6 +161,7 @@ ENTRYWISE_CLASSES = (
     "nonnegative",
 )
 
+_SIGNATURE_CLASSES = frozenset(k for k, v in FORM_CLASSES.items() if v[1] == "S")
 TABLE1_CLASSES = tuple(k for k, v in FORM_CLASSES.items() if v[3] in ("jordan", "lie"))
 TABLE2_CLASSES = tuple(k for k, v in FORM_CLASSES.items() if v[3] == "group")
 
@@ -155,28 +169,42 @@ _F_SQUARE = frozenset(FORM_CLASSES) | {"normal", "f_circulant", "f_block_circula
                                        "doubly_f_stochastic"}
 
 
+def _as_class(cls):
+    """A :class:`StructClass` as given, or parsed from its text form."""
+    return StructClass.parse(cls) if isinstance(cls, str) else cls
+
+
 def _require_f_square(name, m, n):
     if name in _F_SQUARE and m != n:
         raise DimMismatch(f"{name} tensors are F-square, got {m} x {n} slices")
 
 
-def _form_for(cls: StructClass, n, p) -> FormKind:
+def _star(t: Tensor3, cls: StructClass) -> Tensor3:
+    """Adjoint of t under the class's form: M^T t^T M, or M^T t^H M for a sesquilinear form.
+
+    Every form tensor holds one real orthogonal matrix M (I, the exchange, a
+    signature or J) in its first slice, so it multiplies slice by slice and
+    its T-inverse holds M^T = M^-1 there.
+    """
+    n = t.n
     _, tkey, kind, _ = FORM_CLASSES[cls.name]
     if tkey == "I":
-        t = identity(n, p)
+        form = identity(n, 1)
     elif tkey == "R":
-        t = make_reverse(n, p)
+        form = make_reverse(n, 1)
     elif tkey == "S":
         a = cls.a if cls.a is not None else (n + 1) // 2
         b = cls.b if cls.b is not None else n - a
         if a + b != n or a <= 0 or b <= 0:
             raise DimMismatch(f"signature split ({a},{b}) does not fit n={n}")
-        t = make_pseudo(a, b, p)
+        form = make_pseudo(a, b, 1)
     else:  # "J"
         if n % 2:
             raise DimMismatch(f"{cls.name} needs an even dimension, got {n}")
-        t = make_skew_hamiltonian(n // 2, p)
-    return FormKind(kind, t)
+        form = make_skew_hamiltonian(n // 2, 1)
+    m = form.data[0]
+    mid = transpose(t) if kind == "bilinear" else conj_transpose(t)
+    return Tensor3(m.T @ mid.data @ m)
 
 
 def _project_block_circulant(data, q):
@@ -199,36 +227,36 @@ def membership_residual(t: Tensor3, cls: StructClass) -> float:
     """Normalized defect of the class's defining equation."""
     name = cls.name
     _require_f_square(name, t.m, t.n)
+    require_finite(t)
     scale = max(fnorm(t), _TINY)
     if name in FORM_CLASSES:
-        form = _form_for(cls, t.n, t.p)
-        star = adjoint(t, form)
+        star = _star(t, cls)
         algebra = FORM_CLASSES[name][3]
-        if algebra == "jordan":
-            return fnorm(star - t) / scale
-        if algebra == "lie":
-            return fnorm(star + t) / scale
-        eye = identity(t.n, t.p)
-        return fnorm(tprod(star, t) - eye) / fnorm(eye)
+        if algebra != "group":  # a Jordan member is its own adjoint, a Lie member its negative
+            return fnorm(star - t if algebra == "jordan" else star + t) / scale
+        # the identity tensor's faces are I, and its fnorm is sqrt(n p)
+        half, (fs, ft) = to_faces(star, t)
+        defect = np.linalg.norm(_matmul(fs, ft) - np.eye(t.n), axis=(1, 2))
+        return _parseval_norm(defect, t.p, half) / np.sqrt(t.n * t.p)
     if name in ("centrohermitian", "skew_centrohermitian"):
-        rm = make_reverse(t.m, t.p)
-        rn = make_reverse(t.n, t.p)
-        wrapped = tprod(rm, tprod(t, rn))
-        target = t.conj() if name == "centrohermitian" else -t.conj()
-        return fnorm(wrapped - target) / scale
+        # the exchange tensors multiply slice by slice: R_m * t * R_n reverses rows and columns
+        target = t.data.conj() if name == "centrohermitian" else -t.data.conj()
+        return fnorm(Tensor3(t.data[:, ::-1, ::-1] - target)) / scale
     if name == "normal":
-        th = conj_transpose(t)
-        gram = tprod(t, th)
-        return fnorm(gram - tprod(th, t)) / max(fnorm(gram), _TINY)
+        half, (faces,) = to_faces(t)
+        gram = _matmul(faces, _ct(faces))
+        gram_norms = np.linalg.norm(gram, axis=(1, 2))
+        defect = np.linalg.norm(gram - _matmul(_ct(faces), faces), axis=(1, 2))
+        return _parseval_norm(defect, t.p, half) / max(_parseval_norm(gram_norms, t.p, half), _TINY)
     if name in ("f_circulant", "f_block_circulant"):
         proj = _project_block_circulant(t.data, cls.q or 1)
         return fnorm(t - Tensor3(proj)) / scale
     if name == "doubly_f_stochastic":
-        ones = Tensor3(np.ones((t.p, t.n, 1)))
-        en = fnorm(ones)
-        d1 = fnorm(tprod(t, ones) - ones)
-        d2 = fnorm(tprod(transpose(t), ones) - ones)
-        return max(d1, d2) / en
+        # every slice of T * 1 is S 1 and of T^T * 1 is S^T 1, for the slice sum S (see
+        # _sinkhorn_block_circulant), so |T * 1 - 1| / |1| is |S 1 - 1| / sqrt(n)
+        s = t.data.sum(axis=0)
+        d1, d2 = np.linalg.norm(s.sum(axis=1) - 1.0), np.linalg.norm(s.sum(axis=0) - 1.0)
+        return max(d1, d2) / np.sqrt(t.n)
     if name == "nonnegative":
         mx = max(float(np.abs(t.data).max()), _TINY)
         neg = max(0.0, -float(t.data.real.min()))
@@ -239,8 +267,7 @@ def membership_residual(t: Tensor3, cls: StructClass) -> float:
 
 def is_member(t: Tensor3, cls: StructClass, tol=1e-10):
     """(bool, residual) for class membership at tolerance ``tol``."""
-    if isinstance(cls, str):
-        cls = StructClass.parse(cls)
+    cls = _as_class(cls)
     residual = membership_residual(t, cls)
     return residual <= tol, residual
 
@@ -291,8 +318,7 @@ def _sinkhorn_block_circulant(rng, n, p):
 
 def random_member(cls, shape, seed=0) -> Tensor3:
     """Random member of a structured class; validated against its predicate."""
-    if isinstance(cls, str):
-        cls = StructClass.parse(cls)
+    cls = _as_class(cls)
     m, n, p = shape
     rng = np.random.default_rng(seed)
     name = cls.name
@@ -300,24 +326,16 @@ def random_member(cls, shape, seed=0) -> Tensor3:
 
     if name in FORM_CLASSES:
         field_, _, _, algebra = FORM_CLASSES[name]
-        cplx = field_ == "C"
-        form = _form_for(cls, n, p)
+        b = _rand_tensor(rng, n, n, p, field_ == "C")
+        star = _star(b, cls)
         if algebra == "group":
-            lie = _rand_tensor(rng, n, n, p, cplx)
-            lie = lie - adjoint(lie, form)
-            lie = (0.4 / max(fnorm(lie), _TINY)) * lie
-            out = standard_tfn(lie, named_scalar_fn("exp"))
-        elif algebra == "jordan":
-            b = _rand_tensor(rng, n, n, p, cplx)
-            out = 0.5 * (b + adjoint(b, form))
+            lie = b - star
+            out = standard_tfn((0.4 / max(fnorm(lie), _TINY)) * lie, named_scalar_fn("exp"))
         else:
-            b = _rand_tensor(rng, n, n, p, cplx)
-            out = 0.5 * (b - adjoint(b, form))
+            out = 0.5 * (b + star) if algebra == "jordan" else 0.5 * (b - star)
     elif name in ("centrohermitian", "skew_centrohermitian"):
         b = _rand_tensor(rng, m, n, p, cplx=True)
-        rm = make_reverse(m, p)
-        rn = make_reverse(n, p)
-        wrapped = tprod(rm, tprod(b.conj(), rn))
+        wrapped = Tensor3(b.data.conj()[:, ::-1, ::-1])
         out = 0.5 * (b + wrapped) if name == "centrohermitian" else 0.5 * (b - wrapped)
     elif name == "normal":
         z = rng.standard_normal((p, n, n)) + 1j * rng.standard_normal((p, n, n))
@@ -401,8 +419,7 @@ class PreservationReport:
 
 def preservation_check(cls, f, trials=5, shape=(4, 4, 3), seed=0, tol=1e-8) -> PreservationReport:
     """Generate members, apply the generalized function, re-test membership."""
-    if isinstance(cls, str):
-        cls = StructClass.parse(cls)
+    cls = _as_class(cls)
     f = named_scalar_fn(f)
     name = cls.name
     if name in FORM_CLASSES:
@@ -505,6 +522,8 @@ class ConeSpec:
     r: int
 
     def __post_init__(self):
+        if self.U.p != self.V.p:
+            raise DimMismatch(f"cone frames have {self.U.p} and {self.V.p} slices")
         if not is_unitary(self.U, 1e-10) or not is_unitary(self.V, 1e-10):
             raise DimMismatch("cone frames must be unitary tensors")
         if not 0 < self.r <= min(self.U.n, self.V.n):
@@ -525,24 +544,23 @@ def _antitone_fit(y):
     return np.where(stop >= start, upper, np.inf).min(axis=1)
 
 
-def _cone_project_faces(spec: ConeSpec, a: Tensor3):
-    mid = tprod(conj_transpose(spec.U), tprod(a, spec.V))
-    # faces k and p - k share their real diagonal, so a real mid projects on
-    # the half spectrum
-    half, (faces,) = to_faces(mid)
-    diag = np.arange(spec.r)
+def _cone_project_faces(faces, r):
+    """The nearest ordered nonnegative diagonal of rank <= r to each face (of U^H * A * V)."""
+    diag = np.arange(r)
     out = np.zeros_like(faces)
     out[:, diag, diag] = np.maximum(_antitone_fit(faces[:, diag, diag].real), 0.0)
-    return from_faces(out, a.p, half)
+    return out
 
 
 def cone_membership(spec: ConeSpec, a: Tensor3, tol=1e-8):
     """(bool, residual): distance to the nearest aligned ordered-diagonal tensor."""
     if a.m != spec.U.n or a.n != spec.V.n or a.p != spec.U.p:
         raise DimMismatch(f"tensor {a.shape} does not fit the cone frames")
-    shat = _cone_project_faces(spec, a)
-    ahat = tprod(spec.U, tprod(shat, conj_transpose(spec.V)))
-    residual = fnorm(a - ahat) / max(fnorm(a), _TINY)
+    # faces k and p - k share their real diagonal, so real operands project on the half spectrum
+    half, (fu, fa, fv) = to_faces(spec.U, a, spec.V)
+    shat = _cone_project_faces(_matmul(_matmul(_ct(fu), fa), fv), spec.r)
+    defect = np.linalg.norm(fa - _matmul(_matmul(fu, shat), _ct(fv)), axis=(1, 2))
+    residual = _parseval_norm(defect, a.p, half) / max(fnorm(a), _TINY)
     return residual <= tol, residual
 
 
@@ -553,8 +571,9 @@ def random_cone_member(spec: ConeSpec, seed=0) -> Tensor3:
     m, n, p = spec.U.n, spec.V.n, spec.U.p
     faces = np.zeros((p, m, n))
     faces[:, np.arange(rank), np.arange(rank)] = -np.sort(-rng.uniform(0.2, 2.0, (p, rank)))
-    s = from_faces(faces, p, half=False)
-    return tprod(spec.U, tprod(s, conj_transpose(spec.V)))
+    # the drawn diagonals pair no faces as conjugates, so the frames take all p faces
+    _, (fu, fv) = to_faces(spec.U, spec.V, allow_half=False)
+    return from_faces(_matmul(_matmul(fu, faces), _ct(fv)), p, half=False)
 
 
 def cone_invariance_check(spec: ConeSpec, f, trials=5, seed=0, tol=1e-8):

@@ -87,6 +87,30 @@ def test_squarings_within_reach_are_kept(x, tol):
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("x", [1e15, 1e20, 1e30, 1e38, 1e60])
+def test_bidiagonal_face_keeps_its_digits(x, p):
+    # exp of [[1, x, 0], [0, 1.5, x], [0, 0, 2]] holds x^(j - i) times the divided
+    # difference exp[l_i, ..., l_j] at (i, j). alpha saves 24 squarings at x = 1e15 and more
+    # above; saving them all read 1.2e-9 (x = 1e15) up to 1.0 (x = 1e38) off
+    lam = np.array([1.0, 1.5, 2.0])
+    d01, d12 = np.diff(np.exp(lam)) / np.diff(lam)
+    want = np.diag(np.exp(lam)) + np.diag([x * d01, x * d12], 1)
+    want[0, 2] = x * x * (d12 - d01) / (lam[2] - lam[0])
+    face = np.diag(lam) + np.diag([x, x], 1)
+    got = standard_tfn(first_slice(face, p), EXP).data[0]
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("x", 10.0 ** np.arange(33, 51))
+def test_jordan_face_with_huge_coupling_keeps_its_digits(x):
+    # exp([[1, x], [0, 1]]) = e [[1, x], [0, 1]]; saving every squaring alpha allows read
+    # up to 3.1e-5 off in this range
+    got = standard_tfn(Tensor3(np.array([[[1.0, x], [0.0, 1.0]]])), EXP).data[0]
+    want = np.e * np.array([[1.0, x], [0.0, 1.0]])
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+
 def test_cli_writes_the_exponential_of_a_jordan_face(tmp_path):
     a = first_slice(_jordan4(-20.0), 4)
     src, out = tmp_path / "J.tt3a", tmp_path / "x.tt3a"

@@ -200,6 +200,16 @@ def test_struct_class_rejects_bad_block_size(name, q):
         StructClass(name, q=q)
 
 
+@pytest.mark.parametrize("name, split", [
+    ("symmetric", {"a": 2, "b": 2}), ("unitary", {"a": 1}), ("normal", {"b": 1}),
+    ("f_block_circulant", {"a": 1, "b": 1}),
+])
+def test_struct_class_rejects_a_split_its_form_cannot_use(name, split):
+    with pytest.raises(UnsupportedClass, match="takes no signature split"):
+        StructClass(name, **split)
+    assert StructClass("pseudo_unitary", **split).a == split.get("a")
+
+
 def test_unsupported_class():
     with pytest.raises(UnsupportedClass):
         is_member(identity(2, 2), "frobnicated")
@@ -418,7 +428,7 @@ def test_cone_projection_matches_pava_per_face(rng, r, cplx):
         fit = _pava_nonincreasing(face.diagonal()[:r].real)
         out[np.arange(r), np.arange(r)] = np.maximum(fit, 0.0)
     want = Tensor3(np.fft.ifft(want, axis=0))
-    got = _cone_project_faces(ConeSpec(U=u, V=v, r=r), a)
+    got = Tensor3(np.fft.ifft(_cone_project_faces(faces, r), axis=0))
     assert fnorm(got - want) <= 1e-14 * max(fnorm(want), 1.0)
 
 
@@ -427,8 +437,71 @@ def test_cone_rejects_bad_frames(rng):
         ConeSpec(U=rand3(rng, 3, 3, 2), V=random_unitary(3, 2, seed=1), r=1)
 
 
+def test_cone_rejects_frames_of_different_tube_lengths():
+    with pytest.raises(DimMismatch, match="2 and 4 slices"):
+        ConeSpec(U=random_unitary(3, 2), V=random_unitary(3, 4), r=1)
+
+
 def test_dim_guards():
     with pytest.raises(DimMismatch):
         is_member(identity(3, 2), "hamiltonian")  # odd dimension
     with pytest.raises(DimMismatch):
         membership_residual(Tensor3.zeros(2, 3, 2), StructClass("normal"))
+
+
+def _dense_form(name, n):
+    """The form matrix of a catalogue class, from its definition alone."""
+    h = n // 2
+    return {
+        "I": np.eye(n),
+        "R": np.fliplr(np.eye(n)),
+        "S": np.diag([1.0] * (n - h) + [-1.0] * h),  # the default split
+        "J": np.block([[np.zeros((h, h)), np.eye(h)], [-np.eye(h), np.zeros((h, h))]]),
+    }[FORM_CLASSES[name][1]]
+
+
+def _dense_residual(t, name):
+    """membership_residual by its defining equation on bcirc matrices, off the face layer."""
+    a = bcirc(t)
+
+    def rel(x, y):
+        return np.linalg.norm(x) / np.linalg.norm(y)
+
+    if name in FORM_CLASSES:
+        _, _, kind, algebra = FORM_CLASSES[name]
+        form = np.kron(np.eye(t.p), _dense_form(name, t.n))  # bcirc of a first-slice form
+        star = np.linalg.inv(form) @ (a.T if kind == "bilinear" else a.conj().T) @ form
+        if algebra == "jordan":
+            return rel(star - a, a)
+        if algebra == "lie":
+            return rel(star + a, a)
+        eye = np.eye(len(a))
+        return rel(star @ a - eye, eye)
+    if name in ("centrohermitian", "skew_centrohermitian"):
+        rm, rn = (np.kron(np.eye(t.p), np.fliplr(np.eye(k))) for k in (t.m, t.n))
+        sign = 1.0 if name == "centrohermitian" else -1.0
+        return rel(rm @ a @ rn - sign * a.conj(), a)
+    if name == "normal":
+        gram = a @ a.conj().T
+        return rel(gram - a.conj().T @ a, gram)
+    # doubly F-stochastic: bcirc(T) and bcirc(T^T) = bcirc(T)^T times the unfolded ones tensor
+    ones = np.ones(len(a))
+    return max(np.linalg.norm(a @ ones - ones), np.linalg.norm(a.T @ ones - ones)) / np.sqrt(len(a))
+
+
+@pytest.mark.parametrize("name", sorted(FORM_CLASSES) + [
+    "centrohermitian", "skew_centrohermitian", "normal", "doubly_f_stochastic"])
+def test_membership_residual_matches_dense_bcirc_oracle(name):
+    # members read roundoff, so they are compared absolutely; outsiders relatively
+    rng = np.random.default_rng(7)
+    cls = StructClass(name)
+    for p in range(1, 6):
+        for n in (2, 4):
+            member = random_member(name, (n, n, p), seed=p * n)
+            want = _dense_residual(member, name)
+            assert want <= 1e-12 and abs(membership_residual(member, cls) - want) <= 1e-13
+            for cplx in (False, True):
+                t = rand3(rng, n, n, p, cplx)
+                want = _dense_residual(t, name)
+                assert want > 1e-2, (p, n, cplx)
+                assert abs(membership_residual(t, cls) - want) <= 1e-13 * want, (p, n, cplx)
