@@ -14,21 +14,23 @@ the process may use. Products of face stacks go through :func:`_matmul`:
 numpy's ``@`` makes one BLAS call per face, which costs more than the
 arithmetic of a small face, so an inner dimension of 1 or 2 is formed as
 broadcast multiply-adds over the whole stack; from 3 up those lose on short
-stacks, and ``@`` stays. A face-product chain (a product in
-:func:`_matmul`, the scale-multiply-transpose of :meth:`TCsvd.rebuild_faces`
-behind pinv, gfun and isometry, :func:`projectors`, and the solution and
-residual of ``solve_axb``) runs each slice through its whole chain into one
-preallocated output, on every CPU once it reaches ``_PRODUCT_WORK``
-multiply-adds. Smaller products stay on the calling thread: per-face BLAS
-calls from two threads contend, and a threaded 4x4x1024 complex product
-took 602 us against 267 us on one. A thread already working a slice starts
-no helpers, so a product inside a threaded kernel never waits on the pool it
-runs in. For a real tensor the faces come in conjugate pairs
-D_{p-k} = conj(D_k), so the layer keeps only the half spectrum, faces
-0..p//2 (``rfft``), and :func:`from_faces` alone decides whether the result
-is real. :func:`mirror` rebuilds all p faces where a kernel breaks the
-pairing: a complex-valued function of real singular values, or sqrt of a
-negative eigenvalue on face 0.
+stacks, and ``@`` stays. For the same reason a stack of complex 2x2 faces is
+factored by :func:`_svd2x2`, one closed-form Jacobi rotation per face, in
+place of one LAPACK SVD per face; larger faces keep LAPACK. A face-product
+chain (a product in :func:`_matmul`, the scale-multiply-transpose of
+:meth:`TCsvd.rebuild_faces` behind pinv, gfun and isometry,
+:func:`projectors`, and the solution and residual of ``solve_axb``) runs
+each slice through its whole chain into one preallocated output, on every
+CPU once it reaches ``_PRODUCT_WORK`` multiply-adds. Smaller products stay
+on the calling thread: per-face BLAS calls from two threads contend, and a
+threaded 4x4x1024 complex product took 602 us against 267 us on one. A
+thread already working a slice starts no helpers, so a product inside a
+threaded kernel never waits on the pool it runs in. For a real tensor the
+faces come in conjugate pairs D_{p-k} = conj(D_k), so the layer keeps only
+the half spectrum, faces 0..p//2 (``rfft``), and :func:`from_faces` alone
+decides whether the result is real. :func:`mirror` rebuilds all p faces
+where a kernel breaks the pairing: a complex-valued function of real
+singular values, or sqrt of a negative eigenvalue on face 0.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -54,9 +56,10 @@ _SELF_CONJUGATE_RTOL = 1e-6
 _CHUNK = 1 << 16
 # a face stack of fewer elements (h n^2) than this stays on the calling thread. On a
 # 2-vCPU Xeon with one BLAS thread a batched complex SVD took about 0.4 us per
-# element from n = 8 to 128 and 0.9 us at n = 2, so the elements track the work
-# where h n^3 does not; on 4096 elements (64 faces of order 8, 1.2 ms) a helper
-# thread's hand-off took all it saved.
+# element from n = 8 to 128, so the elements track the work where h n^3 does not;
+# on 4096 elements (64 faces of order 8, 1.2 ms) a helper thread's hand-off took all
+# it saved. Complex 2x2 faces skip LAPACK: on 4096 of them _svd2x2 took 0.77 ms
+# against 5.9 ms for np.linalg.svd, and it stays on the calling thread.
 _THREAD_WORK = 1 << 13
 # the largest inner dimension that _matmul forms as broadcast multiply-adds. numpy's @
 # makes one BLAS call per face: on a 2-vCPU Xeon with one BLAS thread a stack of 4096
@@ -205,8 +208,15 @@ def _per_face(kernel, stacks, *outs, madds=None):
     return tuple(out) if len(out) > 1 else out[0]
 
 
+def _closed_form(faces):
+    """Whether :func:`_svd` and :func:`_svdvals` factor ``faces`` by :func:`_svd2x2`."""
+    return faces.shape[1:] == (2, 2) and faces.dtype == np.complex128
+
+
 def _svd(faces, full_matrices):
-    """``np.linalg.svd`` of a face stack, through :func:`_per_face`."""
+    """``np.linalg.svd`` of a face stack, through :func:`_per_face` or :func:`_svd2x2`."""
+    if _closed_form(faces):
+        return _svd2x2(faces)
     _, m, n = faces.shape
     k = min(m, n)
     mu, nv = (m, n) if full_matrices else (k, k)
@@ -215,10 +225,69 @@ def _svd(faces, full_matrices):
 
 
 def _svdvals(faces):
-    """Singular values of every face of a stack, through :func:`_per_face`."""
+    """Singular values of every face of a stack, as :func:`_svd` finds them."""
+    if _closed_form(faces):
+        return _svd2x2(faces)[1]
     _, m, n = faces.shape
     return _per_face(lambda d: np.linalg.svd(d, compute_uv=False), (faces,),
                      ((min(m, n),), np.float64))
+
+
+def _svd2x2(faces):
+    """``(u, s, vh)`` of every face of a finite (h, 2, 2) complex stack, in closed form.
+
+    One complex Jacobi rotation V makes the columns of A V orthogonal: with
+    alpha = |a1|^2, beta = |a2|^2 and gamma = a1^H a2 its tangent is
+    2|gamma| / (|beta - alpha| + hypot(beta - alpha, 2|gamma|)), or the
+    rotation by a right angle more where beta > alpha, so that the first
+    column of A V is the longer one and s comes out descending. That column
+    gives s1 and u1. u2 is the exact unit complement [-conj(u1_2),
+    conj(u1_1)] times the phase of w = u2^H A v2, and s2 = |w|, so U stays
+    unitary on a face of rank 1. Each face is first scaled by a power of two
+    near its largest entry, so the Gram entries neither overflow nor
+    underflow. A zero face gives s = 0 and U = V = I. The operations run on
+    the whole stack at once, on the calling thread: LAPACK's per-face
+    overhead costs more than a 2x2 face's arithmetic.
+    """
+    h = len(faces)
+    # the largest real or imaginary part of each face, taken row by row: numpy's
+    # reductions over an axis of 8 cost more than seven maximums of h values
+    _, e = np.frexp(reduce(np.maximum, np.abs(faces.view(np.float64)).reshape(h, 8).T))
+    # (2, 2, h): each entry of every face as one contiguous row of h
+    a = np.multiply(np.moveaxis(faces, 0, -1), np.ldexp(1.0, -e), order="C")
+    sq = a.real * a.real + a.imag * a.imag
+    alpha, beta = sq[0, 0] + sq[1, 0], sq[0, 1] + sq[1, 1]
+    gamma = a[0, 0].conj() * a[0, 1] + a[1, 0].conj() * a[1, 1]
+    g = np.abs(gamma)
+    d = np.abs(beta - alpha)
+    den = d + np.hypot(d, 2.0 * g)
+    tan = np.divide(2.0 * g, den, out=np.zeros(h), where=den > 0.0)
+    cos = 1.0 / np.sqrt(1.0 + tan * tan)
+    sin = tan * cos
+    # V = [[c, x], [-conj(x), c]]; where beta > alpha its columns swap, up to a sign
+    swap = beta > alpha
+    c = np.where(swap, sin, cos)
+    x = np.divide(gamma, g, out=np.ones(h, complex), where=g > 0.0)
+    x *= -np.where(swap, cos, sin)
+    b1 = c * a[:, 0] - x.conj() * a[:, 1]
+    b2 = x * a[:, 0] + c * a[:, 1]
+    s1 = np.sqrt(b1.real[0] ** 2 + b1.imag[0] ** 2 + b1.real[1] ** 2 + b1.imag[1] ** 2)
+    u1 = b1 * np.divide(1.0, s1, out=np.zeros(h), where=s1 > 0.0)
+    u1[0, s1 == 0.0] = 1.0
+    w = u1[0] * b2[1] - u1[1] * b2[0]
+    aw = np.abs(w)
+    # |w| <= |b2| <= s1, but on a face of two equal singular values rounding may break it
+    s2 = np.minimum(aw, s1)
+    w = np.divide(w, aw, out=np.ones(h, complex), where=aw > 0.0)
+    u = np.empty((h, 2, 2), complex)
+    u[:, :, 0] = u1.T
+    u[:, 0, 1] = -u1[1].conj() * w
+    u[:, 1, 1] = u1[0].conj() * w
+    vh = np.empty((h, 2, 2), complex)
+    vh[:, 0, 0] = vh[:, 1, 1] = c
+    vh[:, 0, 1] = -x
+    vh[:, 1, 0] = x.conj()
+    return u, np.ldexp(np.stack([s1, s2], axis=1), e[:, None]), vh
 
 
 def _matmul(a, b):

@@ -58,16 +58,25 @@ def test_strongly_non_normal_face():
     assert abs(got[0, 0] - np.e) <= 1e-14 * np.e
 
 
+def _taylor(face):
+    """Whether the Pade kernel hands ``face`` to the Taylor sum, under standard_tfn's errstate."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return bool(genfun._expm_chunk(face[None].astype(complex))[1][0])
+
+
 @pytest.mark.parametrize("p", [1, 4])
-@pytest.mark.parametrize("x", [1e60, 1e100, 1e200])
+@pytest.mark.parametrize("x", [1e10, 1e30, 1e40, 1e60, 1e100, 1e200])
 def test_squarings_alpha_cannot_save_are_refused(x, p):
-    # ||D||_1 asks for 197 (x = 1e60), 330 or 662 squarings, alpha for 48, 82
-    # or 165; the kernel refuses to save more than 128, since the rest would
-    # cost every digit of the diagonal, and the face takes the Taylor sum
-    # about its mean eigenvalue instead, exact here. Past 1e154 the sum's
-    # terms would overflow a norm that squares the entries.
+    # at c = 1 ||D||_1 asks for 31 (x = 1e10), 98, 131, 197, 330 or 662 squarings,
+    # alpha for 7, 23, 32, 48 or 82 up to 1e100 (at 1e200 the scaled powers underflow
+    # and alpha asks for none); the kernel refuses to save more than 16,
+    # since the rest would cost every digit of the diagonal, and the face takes the
+    # Taylor sum about its mean eigenvalue instead, which reads at most 3.7e-16 here.
+    # Past 1e154 the sum's terms would overflow a norm that squares the entries.
     for c in (1.0, 2.0):
-        a = first_slice(np.array([[1.0, x], [0.0, c]]), p)
+        face = np.array([[1.0, x], [0.0, c]])
+        assert _taylor(face)
+        a = first_slice(face, p)
         # exp([[1, x], [0, c]]) = [[e, x (e^c - e) / (c - 1)], [0, e^c]], with x e at c = 1
         top = x * np.e if c == 1.0 else x * (np.exp(c) - np.e) / (c - 1.0)
         want = np.array([[np.e, top], [0.0, np.exp(c)]])
@@ -78,13 +87,14 @@ def test_squarings_alpha_cannot_save_are_refused(x, p):
         assert abs(got.data[0, 1, 1] - want[1, 1]) <= 1e-15 * want[1, 1]
 
 
-@pytest.mark.parametrize("x, tol", [(1e10, 1e-13), (1e30, 1e-10), (1e40, 1e-7)])
-def test_squarings_within_reach_are_kept(x, tol):
-    # alpha saves 24, 75 and 99 squarings here; the relative errors read
-    # 8.3e-15, 9.7e-12 and 7.5e-9
-    got = standard_tfn(Tensor3(np.array([[[1.0, x], [0.0, 1.0]]])), EXP).data[0]
-    want = np.e * np.array([[1.0, x], [0.0, 1.0]])
-    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+@pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_squarings_within_reach_are_kept(x):
+    # alpha saves 5, 7, 9, 12 and 14 squarings here, so the face stays on the Pade
+    # kernel; the relative errors read at most 1.9e-15
+    face = np.array([[1.0, x], [0.0, 1.0]])
+    assert not _taylor(face)
+    got = standard_tfn(Tensor3(face[None]), EXP).data[0]
+    assert np.abs(got - np.e * face).max() <= 2e-15 * np.abs(np.e * face).max()
 
 
 @pytest.mark.parametrize("p", [1, 4])

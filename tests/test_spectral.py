@@ -8,6 +8,7 @@ from tprod import (
     fnorm,
     gfun,
     identity,
+    inverse,
     isometry,
     named_scalar_fn,
     partial_isometries,
@@ -22,7 +23,8 @@ from tprod import (
 )
 
 from tprod.errors import NonFinite
-from tprod.spectral import _matmul, from_faces, mirror, to_faces
+from tprod import spectral
+from tprod.spectral import _ct, _matmul, from_faces, mirror, to_faces
 
 from conftest import rand3, rand_low_rank
 
@@ -330,3 +332,84 @@ def test_face_matmul_reads_a_broadcast_operand(rng, k):
     for got, want in ((_matmul(eye, b), eye @ b), (_matmul(b, eye), b @ eye)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(b, before)
+
+
+def _faces_2x2(rng, kind, h=512):
+    """Complex 2x2 face stacks that the closed-form SVD must factor as LAPACK does."""
+    if kind == "random":
+        return _stack(rng, (h, 2, 2), True)
+    if kind == "rank1-integer":
+        x, y = rng.integers(-9, 10, (2, h, 2, 1)) + 1j * rng.integers(-9, 10, (2, h, 2, 1))
+        return x * y.swapaxes(1, 2)
+    if kind == "rank1-gaussian":
+        x, y = _stack(rng, (h, 2, 1), True), _stack(rng, (h, 1, 2), True)
+        return x * y
+    return np.array([np.zeros((2, 2)), np.eye(2), np.diag([1e300, 1e-300]),
+                     np.diag([1e-300, 1e300]), np.full((2, 2), 1e200), np.full((2, 2), 1e-200),
+                     [[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, -1.0]]], dtype=complex)
+
+
+@pytest.mark.parametrize("kind", ["random", "rank1-integer", "rank1-gaussian", "special"])
+def test_svd2x2_matches_lapack(rng, kind):
+    # LAPACK itself reads up to 7 eps on reconstruction and 10 eps on unitarity here
+    tol = 8 * np.finfo(float).eps
+    faces = _faces_2x2(rng, kind)
+    u, s, vh = spectral._svd2x2(faces)
+    assert (u.shape, s.shape, vh.shape) == ((len(faces), 2, 2), (len(faces), 2), (len(faces), 2, 2))
+    assert (u.dtype, s.dtype, vh.dtype) == (np.complex128, np.float64, np.complex128)
+    want = np.linalg.svd(faces, compute_uv=False)
+    top = want[:, 0]
+    rec = (u * s[:, None, :]) @ vh
+    assert (np.abs(rec - faces).max(axis=(1, 2)) <= tol * top).all()
+    eye = np.eye(2)
+    assert np.abs(_ct(u) @ u - eye).max() <= tol
+    assert np.abs(vh @ _ct(vh) - eye).max() <= tol
+    assert (s >= 0.0).all() and (s[:, 0] >= s[:, 1]).all()
+    assert (np.abs(s - want) <= tol * top[:, None]).all()
+    if kind.startswith("rank1"):
+        # below the rank cutoff of a 2x2x1 tensor, 2 eps s1
+        assert (s[:, 1] <= 2 * np.finfo(float).eps * s[:, 0]).all()
+    if kind == "special":
+        assert np.array_equal(s[0], [0.0, 0.0])
+        assert np.array_equal(u[0], eye) and np.array_equal(vh[0], eye)
+
+
+def _rank_one_slices(rng, kind, p):
+    """A 2x2xp tensor whose slices are x_k y for one shared row y: every face has rank 1."""
+    if kind == "integer":
+        x = np.arange(1.0, 2 * p + 1).reshape(p, 2, 1)
+        y = np.array([[1.0, 2.0]])
+    else:
+        x, y = _stack(rng, (p, 2, 1), kind == "complex"), _stack(rng, (1, 2), kind == "complex")
+    return Tensor3(x * y)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["integer", "real", "complex"])
+def test_tcsvd_of_rank_one_2x2_tensors_matches_numpy_ranks(rng, kind, p):
+    a = _rank_one_slices(rng, kind, p)
+    s = np.linalg.svd(np.fft.fft(a.data, axis=0), compute_uv=False)
+    cut = 2 * p * np.finfo(float).eps * s.max()
+    c = tcsvd(a)
+    assert c.face_ranks == tuple((s > cut).sum(axis=1).tolist()) == (1,) * p
+    assert c.r == 1
+    assert fnorm(_reconstruct(c.Ur, c.Sr, c.Vr) - a) <= 1e-15 * fnorm(a)
+
+
+def test_only_complex_2x2_stacks_skip_lapack(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for shape, cplx in (((2, 2, 5), False), ((2, 2, 4), True)):
+        a = rand3(rng, *shape, cplx)
+        tcsvd(a), tsvd(a), specnorm(a), inverse(a)
+    assert calls == []
+    tcsvd(rand3(rng, 2, 3, 4))
+    spectral._svd(_stack(rng, (4, 2, 2), False), False)
+    spectral._svdvals(_stack(rng, (4, 2, 2), True).astype(np.complex64))
+    assert calls == [(3, 2, 3), (4, 2, 2), (4, 2, 2)]
