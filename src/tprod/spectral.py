@@ -244,8 +244,9 @@ def _svd2x2(faces):
     gives s1 and u1. u2 is the exact unit complement [-conj(u1_2),
     conj(u1_1)] times the phase of w = u2^H A v2, and s2 = |w|, so U stays
     unitary on a face of rank 1. Each face is first scaled by a power of two
-    near its largest entry, so the Gram entries neither overflow nor
-    underflow. A zero face gives s = 0 and U = V = I. The operations run on
+    near its largest entry, at most 2^1020 so that subnormal faces stay
+    finite, and the Gram entries neither overflow nor underflow. A zero face
+    gives s = 0 and U = V = I. The operations run on
     the whole stack at once, on the calling thread: LAPACK's per-face
     overhead costs more than a 2x2 face's arithmetic.
     """
@@ -253,6 +254,9 @@ def _svd2x2(faces):
     # the largest real or imaginary part of each face, taken row by row: numpy's
     # reductions over an axis of 8 cost more than seven maximums of h values
     _, e = np.frexp(reduce(np.maximum, np.abs(faces.view(np.float64)).reshape(h, 8).T))
+    # below 2^-1020 (subnormal parts) 2^-e would overflow; 2^1020 still lifts the
+    # smallest subnormal, 2^-1074, to 2^-54, where the Gram entries are normal
+    np.maximum(e, -1020, out=e)
     # (2, 2, h): each entry of every face as one contiguous row of h
     a = np.multiply(np.moveaxis(faces, 0, -1), np.ldexp(1.0, -e), order="C")
     sq = a.real * a.real + a.imag * a.imag

@@ -22,7 +22,7 @@ from tprod import (
     is_unitary,
 )
 
-from tprod.errors import NonFinite
+from tprod.errors import NonFinite, Singular
 from tprod import spectral
 from tprod.spectral import _ct, _matmul, from_faces, mirror, to_faces
 
@@ -334,6 +334,9 @@ def test_face_matmul_reads_a_broadcast_operand(rng, k):
     assert np.array_equal(b, before)
 
 
+_TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal, 2^-1074
+
+
 def _faces_2x2(rng, kind, h=512):
     """Complex 2x2 face stacks that the closed-form SVD must factor as LAPACK does."""
     if kind == "random":
@@ -346,7 +349,10 @@ def _faces_2x2(rng, kind, h=512):
         return x * y
     return np.array([np.zeros((2, 2)), np.eye(2), np.diag([1e300, 1e-300]),
                      np.diag([1e-300, 1e300]), np.full((2, 2), 1e200), np.full((2, 2), 1e-200),
-                     [[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, -1.0]]], dtype=complex)
+                     [[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, -1.0]],
+                     # subnormal entries: frexp's exponent goes below -1021 here
+                     np.diag([1e-310, 0.0]), np.full((2, 2), _TINY), np.diag([1e-300, 1e-320]),
+                     [[1e-310, 3e-312j], [2e-315, 0.0]]], dtype=complex)
 
 
 @pytest.mark.parametrize("kind", ["random", "rank1-integer", "rank1-gaussian", "special"])
@@ -358,7 +364,8 @@ def test_svd2x2_matches_lapack(rng, kind):
     assert (u.shape, s.shape, vh.shape) == ((len(faces), 2, 2), (len(faces), 2), (len(faces), 2, 2))
     assert (u.dtype, s.dtype, vh.dtype) == (np.complex128, np.float64, np.complex128)
     want = np.linalg.svd(faces, compute_uv=False)
-    top = want[:, 0]
+    # on subnormal faces each rounding is absolute, a few times the spacing _TINY
+    top = want[:, 0] + 4 * _TINY / tol
     rec = (u * s[:, None, :]) @ vh
     assert (np.abs(rec - faces).max(axis=(1, 2)) <= tol * top).all()
     eye = np.eye(2)
@@ -394,6 +401,29 @@ def test_tcsvd_of_rank_one_2x2_tensors_matches_numpy_ranks(rng, kind, p):
     assert c.face_ranks == tuple((s > cut).sum(axis=1).tolist()) == (1,) * p
     assert c.r == 1
     assert fnorm(_reconstruct(c.Ur, c.Sr, c.Vr) - a) <= 1e-15 * fnorm(a)
+
+
+def test_subnormal_2x2_faces_keep_their_ranks_and_norms():
+    # face 1 of a is [[-1e-310, 0], [0, 0]]: below the rank cutoff beside face 0
+    d = np.ones((2, 2, 2))
+    d[:, 0, 0] = 0.0, 1e-310
+    b = 1e-310 * np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    for t in (d, b, np.full((3, 2, 2), _TINY)):
+        a = Tensor3(t)
+        s = np.linalg.svd(np.fft.fft(t, axis=0), compute_uv=False)
+        cut = spectral.default_rank_rtol(2, 2, a.p) * s.max()
+        ranks = (s > cut).sum(axis=1)
+        c = tcsvd(a)
+        assert c.face_ranks == tuple(ranks.tolist()) and c.r == ranks.max()
+        assert np.isfinite(c.Sr.data).all()
+        assert abs(specnorm(a) - s.max()) <= 4 * np.finfo(float).eps * s.max() + 2 * _TINY
+        f = tsvd(a)
+        assert all(np.isfinite(x.data).all() for x in (f.U, f.S, f.V))
+    assert tcsvd(Tensor3(d)).face_ranks == (2, 0)
+    assert tcsvd(Tensor3(b)).face_ranks == (2, 2)
+    with pytest.raises(Singular) as err:
+        inverse(Tensor3(d))
+    assert (err.value.face, err.value.smin) == (1, 0.0)
 
 
 def test_only_complex_2x2_stacks_skip_lapack(rng, monkeypatch):
