@@ -6,18 +6,19 @@ f_gen(A) = Ur * f(Sr) * Vr^H. The standard T-function instead applies a
 matrix function to every DFT face of an F-square tensor (equivalently to
 bcirc(A)); the two disagree in general even when f(0) = 0.
 
-The standard T-function runs one batched kernel per slice of faces: for
-exp (``f.fn is np.exp``) scaling and squaring with the [13/13] Pade
-approximant (Higham 2005, "The scaling and squaring method for the matrix
-exponential revisited", SIAM J. Matrix Anal. Appl. 26(4)), accurate on
-defective and non-normal faces, where eigenvectors lose digits; for every
-other f the eigendecomposition of each face. Each face the kernel cannot
-vouch for (eigenvectors that fail the conditioning guard, or squarings the
-Pade kernel cannot save) takes the Taylor sum of f about its own mean
-eigenvalue, the atomic-block step of Schur-Parlett (Davies & Higham 2003,
-"A Schur-Parlett algorithm for computing matrix functions", SIAM J. Matrix
-Anal. Appl. 25(2)): short and exact when the eigenvalues cluster about
-their mean.
+The standard T-function runs one batched kernel over the faces, sliced and
+threaded by the face layer like every other face kernel: for exp
+(``f.fn is np.exp``) scaling and squaring with the [13/13] Pade approximant
+(Higham 2005, "The scaling and squaring method for the matrix exponential
+revisited", SIAM J. Matrix Anal. Appl. 26(4)), accurate on defective and
+non-normal faces, where eigenvectors lose digits; for every other f the
+eigendecomposition of each face. Each face the kernel cannot vouch for
+(eigenvectors that fail the conditioning guard, or squarings the Pade
+kernel cannot save) then takes, on the calling thread, the Taylor sum of f
+about its own mean eigenvalue, the atomic-block step of Schur-Parlett
+(Davies & Higham 2003, "A Schur-Parlett algorithm for computing matrix
+functions", SIAM J. Matrix Anal. Appl. 25(2)): short and exact when the
+eigenvalues cluster about their mean.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     SeriesDivergence,
     ZeroSingularValueRequiresFZero,
 )
-from .spectral import (_CHUNK, _EPS, _ct, _each_slice, _matmul, from_faces, isometry, tcsvd,
+from .spectral import (_EPS, _ct, _matmul, _per_face, _svdvals, from_faces, isometry, tcsvd,
                        to_faces)
 
 _SERIES_CAP = 500
@@ -363,7 +364,7 @@ def _eig_chunk(d, f):
     if not herm.all():
         idx = np.flatnonzero(~herm)
         w, v = np.linalg.eig(d[idx])
-        sv = np.linalg.svd(v, compute_uv=False)
+        sv = _svdvals(v)
         fallback[idx] = (sv[:, -1] <= 0) | (sv[:, 0] / sv[:, -1] > _COND_LIMIT)
         good = ~fallback[idx]
         if good.any():
@@ -428,30 +429,24 @@ def _expm_chunk(d):
 
 
 def _face_functions(faces, f):
-    """f of every face of an (h, n, n) stack, in slices of about ``_CHUNK`` elements.
+    """f of every face of an (h, n, n) stack.
 
-    Each slice takes one batched kernel, ``_expm_chunk`` for exp and
-    ``_eig_chunk`` otherwise, and each face it marks for the fallback takes
-    ``_matrix_series``. The slices run through ``_each_slice``. The lowest
-    face that is not finite or that the series refuses raises, as a
-    face-by-face loop would.
+    One batched kernel, ``_expm_chunk`` for exp and ``_eig_chunk`` otherwise,
+    runs through ``_per_face``; then each face it marks for the fallback
+    takes ``_matrix_series`` on the calling thread. The lowest face that is
+    not finite or that the series refuses raises, as a face-by-face loop
+    would.
     """
-    h, n, _ = faces.shape
+    n = faces.shape[-1]
     kernel = _expm_chunk if f.fn is np.exp else lambda d: _eig_chunk(d, f)
-    out = np.empty(faces.shape, dtype=np.complex128)
-
-    def work(part):
-        i = part.start
-        out[part], fallback = kernel(faces[part])
-        bad = ~fallback & ~np.isfinite(out[part]).all(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out, fallback = _per_face(kernel, (faces,), ((n, n), np.complex128), ((), bool))
+        bad = ~fallback & ~np.isfinite(out).all(axis=(-2, -1))
         stop = int(np.argmax(bad)) if bad.any() else len(bad)
         for k in np.flatnonzero(fallback[:stop]):
-            out[i + k] = _matrix_series(faces[i + k], f, i + k)
-        if stop < len(bad):
-            raise FnDomainError(f"{f.name or 'f'} not finite on face {i + stop}")
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _each_slice(h, n, work, _CHUNK)
+            out[k] = _matrix_series(faces[k], f, k)
+    if stop < len(bad):
+        raise FnDomainError(f"{f.name or 'f'} not finite on face {stop}")
     return out
 
 

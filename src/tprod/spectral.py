@@ -9,8 +9,9 @@ tensor factors as
 so the T-product becomes an independent matrix product per face. Every
 module reaches the faces through :func:`to_faces` and leaves through
 :func:`from_faces`, running one batched kernel over the face stack in
-between; :func:`_each_slice` spreads a large stack's slices over the CPUs
-the process may use. Products of face stacks go through :func:`_matmul`:
+between through :func:`_per_face`: slices of about ``_CHUNK / n^2`` faces,
+spread over the CPUs the process may use where :func:`_threaded` holds and
+in order on the calling thread otherwise. Products go through :func:`_matmul`:
 numpy's ``@`` makes one BLAS call per face, which costs more than the
 arithmetic of a small face, so an inner dimension of 1 or 2 is formed as
 broadcast multiply-adds over the whole stack; from 3 up those lose on short
@@ -113,37 +114,33 @@ def _helpers(count):
         return _pool
 
 
-def _threaded(h, n):
-    """Whether :func:`_each_slice` splits a stack of h faces of order n over threads."""
-    return h * n * n >= _THREAD_WORK and _cpus() > 1 and not _slices.busy
+def _threaded(work, limit=_THREAD_WORK):
+    """Whether a stack is split over threads: ``work`` counts its elements (h n^2) for a
+    factorization, or its multiply-adds for a product chain against ``_PRODUCT_WORK``."""
+    return work >= limit and _cpus() > 1 and not _slices.busy
 
 
-def _chained(madds):
-    """Whether a face-product chain of ``madds`` multiply-adds is split over threads."""
-    return madds >= _PRODUCT_WORK and _cpus() > 1 and not _slices.busy
-
-
-def _each_slice(h, n, work, chunk=None, threaded=None):
+def _each_slice(h, n, work, threaded=None):
     """Call ``work(part)`` for contiguous slices ``part`` covering h faces of order n.
 
-    Where ``threaded`` holds (by default :func:`_threaded`), the stack is
-    cut into slices of about ``_CHUNK / n^2`` faces, at least one per CPU,
-    and the calling thread and ``cpus - 1`` helper threads take them in
-    turn. numpy's LAPACK and matmul loops release the GIL and every face is
-    worked on its own, so the results are those of one call on the whole
-    stack. Otherwise the stack stays on the calling thread as one slice, or
-    as slices of ``chunk / n^2`` faces when ``chunk`` is given. Helpers run
-    under the caller's ``np.geterr()``. An exception is raised once every
-    slice is done: the one of the lowest slice that raised, as a loop would.
+    The stack is cut into slices of about ``_CHUNK / n^2`` faces. Where
+    ``threaded`` holds (by default :func:`_threaded` of the h n^2 elements)
+    there are at least as many slices as CPUs, and the calling thread and
+    ``cpus - 1`` helper threads take them in turn. numpy's LAPACK and matmul
+    loops release the GIL and every face is worked on its own, so the
+    results are those of one call on the whole stack. Otherwise the slices
+    run in order on the calling thread. Helpers run under the caller's
+    ``np.geterr()``. An exception is raised once every slice is done: the
+    one of the lowest slice that raised, as a loop would.
     """
-    if not (_threaded(h, n) if threaded is None else threaded):
-        step = h if chunk is None else max(1, chunk // (n * n))
+    step = max(1, _CHUNK // (n * n))
+    if not (_threaded(h * n * n) if threaded is None else threaded):
         for i in range(0, h, step):
-            work(slice(i, i + step))
+            work(slice(i, min(i + step, h)))
         return
     cpus = _cpus()
     # a multiple of cpus, so that the threads share the slices evenly
-    count = -(-h // max(1, (chunk or _CHUNK) // (n * n)) // cpus) * cpus
+    count = -(-h // step // cpus) * cpus
     edges = [h * i // count for i in range(count + 1)]
     parts = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
     todo = deque(range(len(parts)))
@@ -188,14 +185,15 @@ def _per_face(kernel, stacks, *outs, madds=None):
     """``kernel(*stacks)`` for a kernel that treats each face of (h, ...) stacks on its own.
 
     ``outs`` gives the trailing shape and dtype of each array the kernel
-    returns. A factorization (no ``madds``) is split where :func:`_threaded`
-    holds for the first stack, a product chain of ``madds`` multiply-adds
-    where :func:`_chained` does. The slices then run by :func:`_each_slice`,
-    each on the same slice of every stack, and write into arrays allocated up
+    returns. A stack that :func:`_threaded` splits (on its elements, or on
+    ``madds`` for a product chain) or that has more than one slice runs by
+    :func:`_each_slice`, each slice of every stack into arrays allocated up
     front; otherwise this is one call on the whole stacks.
     """
-    h, m, n = stacks[0].shape
-    if not (_threaded(h, max(m, n)) if madds is None else _chained(madds)):
+    h = len(stacks[0])
+    n = max(max(s.shape[1:]) for s in stacks)
+    threaded = _threaded(h * n * n) if madds is None else _threaded(madds, _PRODUCT_WORK)
+    if not threaded and h <= max(1, _CHUNK // (n * n)):  # one slice
         return kernel(*stacks)
     out = [np.empty((h, *shape), dtype) for shape, dtype in outs]
 
@@ -204,7 +202,7 @@ def _per_face(kernel, stacks, *outs, madds=None):
         for o, x in zip(out, res if len(out) > 1 else (res,)):
             o[part] = x
 
-    _each_slice(h, max(max(s.shape[1:]) for s in stacks), work, threaded=True)
+    _each_slice(h, n, work, threaded)
     return tuple(out) if len(out) > 1 else out[0]
 
 
@@ -301,14 +299,13 @@ def _matmul(a, b):
     ``a`` times row j of ``b``, on every face at once. Any other k, 0
     included, and operands that do not conform go to ``@``. Batch
     dimensions broadcast as they do for ``@``, and the result has its dtype.
-    Two (h, ...) stacks whose product takes ``_PRODUCT_WORK`` multiply-adds
-    or more are multiplied by slices through :func:`_per_face`; on a thread
-    working a slice :func:`_chained` is false, so each slice is one call here.
+    Two (h, ...) stacks whose product :func:`_threaded` splits are
+    multiplied by slices through :func:`_per_face`; on a thread working a
+    slice it is false, so each slice is one call here.
     """
     k = a.shape[-1]
     madds = a.size * b.shape[-1]
-    if (madds >= _PRODUCT_WORK and a.ndim == 3 and b.shape[:-1] == (len(a), k)
-            and _chained(madds)):
+    if a.ndim == 3 and b.shape[:-1] == (len(a), k) and _threaded(madds, _PRODUCT_WORK):
         return _per_face(_matmul, (a, b), ((a.shape[1], b.shape[-1]), np.result_type(a, b)),
                          madds=madds)
     if not 0 < k <= _BROADCAST_INNER or b.shape[-2] != k:

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from tprod import Tensor3, bcirc, fnorm, named_scalar_fn, standard_tfn
-from tprod import genfun
+from tprod import genfun, spectral
 from tprod.algebra import first_slice
 from tprod.cli import main
 from tprod.errors import DefectiveFace, FnDomainError
@@ -155,7 +155,7 @@ def _sinh_overflow_on_face_0():
 @pytest.mark.parametrize("chunk_faces", [1, 4])
 def test_overflow_names_the_lowest_face_without_warnings(monkeypatch, make, face,
                                                          chunk_faces):
-    monkeypatch.setattr(genfun, "_CHUNK", 4 * chunk_faces)
+    monkeypatch.setattr(spectral, "_CHUNK", 4 * chunk_faces)
     a, name = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -180,7 +180,7 @@ def test_chunk_budgets_agree(rng, monkeypatch, cplx, name, kernel_name):
     assert sizes == [h]
     for faces in (1, 3):
         sizes.clear()
-        monkeypatch.setattr(genfun, "_CHUNK", 9 * faces)
+        monkeypatch.setattr(spectral, "_CHUNK", 9 * faces)
         out = standard_tfn(a, f)
         assert sizes == [min(faces, h - i) for i in range(0, h, faces)]
         assert fnorm(out - whole) <= 1e-14 * fnorm(whole)

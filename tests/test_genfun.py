@@ -32,6 +32,7 @@ from tprod import (
     tprod,
     transpose,
 )
+from tprod import spectral
 from tprod.algebra import first_slice
 from tprod.cli import main
 from tprod.errors import (
@@ -236,13 +237,19 @@ def test_standard_tfn_jordan_face_takes_series():
     ([HERM, JORDAN, GENERAL, HERM], DefectiveFace, 1),
     ([HERM, JORDAN, LN1P_POLE, GENERAL], DefectiveFace, 1),
     ([GENERAL, LN1P_POLE, JORDAN, HERM], FnDomainError, 1),
+    ([HERM, JORDAN - 2.0 * np.eye(2), LN1P_POLE, GENERAL], SeriesDivergence, 1),
 ])
-def test_standard_tfn_lowest_failing_face_raises(faces, err, face):
+def test_standard_tfn_lowest_failing_face_raises(monkeypatch, faces, err, face):
     # sign has no series, so a Jordan face is defective; ln1p is not finite
-    # on LN1P_POLE; the lowest failing face decides the error either way
+    # on LN1P_POLE, and its series about -1 has radius 0, so a Jordan face at
+    # -1 diverges below the pole; the lowest failing face decides the error
+    # either way, also when every face is a slice of its own
     f = named_scalar_fn("sign") if err is DefectiveFace else named_scalar_fn("ln1p")
-    with np.errstate(divide="ignore"), pytest.raises(err, match=f"face {face}"):
-        standard_tfn(_tensor_with_faces(faces), f)
+    for chunk in (None, 4):
+        if chunk:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        with np.errstate(divide="ignore"), pytest.raises(err, match=f"face {face}"):
+            standard_tfn(_tensor_with_faces(faces), f)
 
 
 def test_standard_tfn_hermitian_face_checks_finiteness():

@@ -15,6 +15,7 @@ from tprod import (
     pinv,
     projectors,
     specnorm,
+    standard_tfn,
     t_eigenvalues,
     tcsvd,
     tprod,
@@ -438,6 +439,8 @@ def test_only_complex_2x2_stacks_skip_lapack(rng, monkeypatch):
     for shape, cplx in (((2, 2, 5), False), ((2, 2, 4), True)):
         a = rand3(rng, *shape, cplx)
         tcsvd(a), tsvd(a), specnorm(a), inverse(a)
+    # the eig route's eigenvector guard of a complex stack
+    standard_tfn(rand3(rng, 2, 2, 4, True), named_scalar_fn("sinh"))
     assert calls == []
     tcsvd(rand3(rng, 2, 3, 4))
     spectral._svd(_stack(rng, (4, 2, 2), False), False)

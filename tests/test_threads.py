@@ -59,7 +59,11 @@ def test_threaded_faces_equal_one_call_bitwise(rng, monkeypatch, cplx, n, p):
     for count in (1, 2, 3):
         _cpus(monkeypatch, count)
         runs[count] = list(_results(a, b, d))
-    for count in (2, 3):
+    # one CPU and slices of 5 faces, the last one partial: every kernel runs slice by slice
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(spectral, "_CHUNK", 5 * n * n)
+    runs["sliced"] = list(_results(a, b, d))
+    for count in (2, 3, "sliced"):
         for one, many in zip(runs[1], runs[count]):
             assert np.asarray(one).dtype == np.asarray(many).dtype
             assert np.array_equal(one, many), count
@@ -137,7 +141,7 @@ def test_threaded_overflow_names_the_lowest_face_without_warnings(monkeypatch, n
     # faces 20 and 50 overflow, in different slices. A warning turned into an error in
     # the slice of face 50 would hide behind face 20's, so warnings are recorded instead.
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(genfun, "_CHUNK", 16 * 16 * chunk_faces)
+    monkeypatch.setattr(spectral, "_CHUNK", 16 * 16 * chunk_faces)
     a, name = _two_bad_faces(name)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
