@@ -225,6 +225,11 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    if sys.stdout is None:
+        # Python starts with no sys.stdout when file descriptor 1 is closed, and print
+        # would drop the report silently; fail before any output file is written
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
     try:
         return args.fn_(args)
     except TprodError as exc:

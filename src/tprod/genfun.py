@@ -6,26 +6,29 @@ f_gen(A) = Ur * f(Sr) * Vr^H. The standard T-function instead applies a
 matrix function to every DFT face of an F-square tensor (equivalently to
 bcirc(A)); the two disagree in general even when f(0) = 0.
 
-The standard T-function runs one batched kernel over the faces, sliced and
-threaded by the face layer like every other face kernel: for exp
-(``f.fn is np.exp``) scaling and squaring with the [13/13] Pade approximant
-(Higham 2005, "The scaling and squaring method for the matrix exponential
-revisited", SIAM J. Matrix Anal. Appl. 26(4)), accurate on defective and
-non-normal faces, where eigenvectors lose digits; for every other f the
-eigendecomposition of each face. Each face the kernel cannot vouch for
-(eigenvectors that fail the conditioning guard, or squarings the Pade
-kernel cannot save) then takes, on the calling thread, the Taylor sum of f
-about its own mean eigenvalue, the atomic-block step of Schur-Parlett
-(Davies & Higham 2003, "A Schur-Parlett algorithm for computing matrix
-functions", SIAM J. Matrix Anal. Appl. 25(2)): short and exact when the
-eigenvalues cluster about their mean.
+The standard T-function of a stack of 2x2 faces is Sylvester's formula in
+closed form (:func:`_f2x2`), on the calling thread; only the faces it flags
+(confluent or near-confluent eigenvalues, a non-finite f or result, parts
+far from 1) take the kernel of larger faces. That kernel is one batched
+kernel over the faces, sliced and threaded by the face layer like every
+other face kernel: for exp (``f.fn is np.exp``) scaling and squaring with
+the [13/13] Pade approximant (Higham 2005, "The scaling and squaring method
+for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4)),
+accurate on defective and non-normal faces, where eigenvectors lose digits;
+for every other f the eigendecomposition of each face. Each face the kernel
+cannot vouch for (eigenvectors that fail the conditioning guard, or
+squarings the Pade kernel cannot save) then takes, on the calling thread,
+the Taylor sum of f about its own mean eigenvalue, the atomic-block step of
+Schur-Parlett (Davies & Higham 2003, "A Schur-Parlett algorithm for
+computing matrix functions", SIAM J. Matrix Anal. Appl. 25(2)): short and
+exact when the eigenvalues cluster about their mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +70,18 @@ _THETA13 = 5.371920351148152
 # form at x = 1e15, where alpha saves 24, and 1.0 at x = 1e38; on the Taylor sum they read
 # at most 7.8e-16
 _MAX_SAVED = 16
+# a 2x2 face whose closed-form error estimate (see _f2x2) is above this, or not a number,
+# takes the kernel of larger faces instead. On near-confluent exp faces [[1, 1e3], [t, 1]],
+# t = 1e-1 .. 1e-14, a limit of 1e-10 let through errors of 8.8e-12 and 1e-12 of 1.9e-13
+# against 40-digit arithmetic, where Pade reads 9.3e-16; at 1e-14 they read at most 7.2e-16,
+# and on faces-small-like inputs 0 of 2049 real and 0 to 3 of 4096 complex faces are flagged
+_CLOSED_FORM_LIMIT = 1e-14
+# the multiply-adds per n^3 that the Pade kernel counts a face as against _PRODUCT_WORK: its
+# six products, the solve, the squarings and the sums between them. On a 2-vCPU Xeon with one
+# BLAS thread two threads lost on 1024 complex 4x4 faces (h n^3 = 2^16; 3.3 -> 4.3 ms), broke
+# even on 129 real 8x8 faces and gained on 256 complex 8x8 faces (2^17; 2.16 -> 2.01 ms) and
+# on 33 real 16x16 faces (1.12 -> 0.90 ms)
+_PADE_MADDS = 16
 
 
 def _power_series(series, x, one, mul, norm, cap, rtol):
@@ -428,19 +443,77 @@ def _expm_chunk(d):
     return r, want < s1 - _MAX_SAVED
 
 
+def _f2x2(faces, f):
+    """f of every face of an (h, 2, 2) stack in closed form: ``(out, fallback)``.
+
+    Sylvester's formula (Higham, *Functions of Matrices*, SIAM 2008, ch. 4):
+    with mu = tr(A)/2, e = (a - d)/2 and eigenvalues l1, l2, f(A) = a0 I +
+    a1 (A - mu I), where a0 = (f(l1) + f(l2))/2 and a1 = (f(l1) - f(l2)) /
+    (l1 - l2). The eigenvalues come without cancellation: l1 = mu + delta, with
+    delta^2 = e^2 + bc and the sign of delta for which Re(conj(mu) delta) >= 0,
+    and l2 = det(A)/l1. ``fallback`` marks the faces whose error estimate
+    eps max|f(l)| (1 + |mu| + |delta|) max(|e|, |b|, |c|) / (|l1 - l2| max|out|)
+    is above ``_CLOSED_FORM_LIMIT`` or not a number: near-confluent and
+    confluent faces, where the divided difference a1 cancels, and faces where
+    f or the result is not finite. So are faces with one of |mu|, |e|, |b|,
+    |c| nonzero and outside [2^-500, 2^500], where a product of two of them
+    could leave the normal range and take the eigenvalues' digits with it.
+    The operations run on the whole stack at once, on the calling thread, as
+    in :func:`spectral._svd2x2`.
+    """
+    h = len(faces)
+    a, b, c, d = np.moveaxis(faces, 0, -1).reshape(4, h)
+    mu, e = 0.5 * (a + d), 0.5 * (a - d)
+    delta = np.sqrt(e * e + b * c)
+    np.negative(delta, out=delta, where=mu.real * delta.real + mu.imag * delta.imag < 0.0)
+    lam = np.zeros((2, h), dtype=np.complex128)
+    np.add(mu, delta, out=lam[0])
+    # where l1 is 0 so is l2: |l1| >= |l2| by the choice of sign
+    np.divide(a * d - b * c, lam[0], out=lam[1], where=lam[0] != 0.0)
+    fl = _values_on(f, lam)
+    gap = lam[0] - lam[1]
+    a0, a1 = 0.5 * (fl[0] + fl[1]), (fl[0] - fl[1]) / gap
+    ae = a1 * e
+    out = np.stack([a0 + ae, a1 * b, a1 * c, a0 - ae])
+    top = reduce(np.maximum, np.abs(out))
+    absf = np.abs(fl)
+    sizes = np.abs([mu, e, b, c])
+    # as a product of ratios, which neither overflow nor underflow on a face in range
+    est = (_EPS * (np.maximum(absf[0], absf[1]) / top) * (1.0 + sizes[0] + np.abs(delta))
+           * (reduce(np.maximum, sizes[1:]) / np.abs(gap)))
+    beyond = reduce(np.logical_or, ((sizes > 0.0) & (sizes < 2.0**-500)) | (sizes > 2.0**500))
+    est[beyond | ~np.isfinite(top)] = np.nan
+    return np.ascontiguousarray(out.T).reshape(h, 2, 2), ~(est <= _CLOSED_FORM_LIMIT)
+
+
 def _face_functions(faces, f):
     """f of every face of an (h, n, n) stack.
 
-    One batched kernel, ``_expm_chunk`` for exp and ``_eig_chunk`` otherwise,
-    runs through ``_per_face``; then each face it marks for the fallback
-    takes ``_matrix_series`` on the calling thread. The lowest face that is
-    not finite or that the series refuses raises, as a face-by-face loop
-    would.
+    A stack of 2x2 faces takes :func:`_f2x2` on the calling thread, and the
+    faces it flags take the kernel of larger faces. That kernel,
+    ``_expm_chunk`` for exp and ``_eig_chunk`` otherwise, runs through
+    ``_per_face``: the Pade kernel as a product chain of ``_PADE_MADDS``
+    n^3 multiply-adds a face, ``_eig_chunk`` as a factorization. Then each
+    face the kernel marks for the fallback takes ``_matrix_series`` on the
+    calling thread. The lowest face that is not finite or that the series
+    refuses raises, as a face-by-face loop would.
     """
     n = faces.shape[-1]
-    kernel = _expm_chunk if f.fn is np.exp else lambda d: _eig_chunk(d, f)
+    outs = ((n, n), np.complex128), ((), bool)
+
+    def kernel(d):
+        if f.fn is np.exp:
+            return _per_face(_expm_chunk, (d,), *outs, madds=_PADE_MADDS * len(d) * n**3)
+        return _per_face(lambda x: _eig_chunk(x, f), (d,), *outs)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, fallback = _per_face(kernel, (faces,), ((n, n), np.complex128), ((), bool))
+        if n == 2:
+            out, fallback = _f2x2(faces, f)
+            idx = np.flatnonzero(fallback)
+            if idx.size:
+                out[idx], fallback[idx] = kernel(faces[idx])
+        else:
+            out, fallback = kernel(faces)
         bad = ~fallback & ~np.isfinite(out).all(axis=(-2, -1))
         stop = int(np.argmax(bad)) if bad.any() else len(bad)
         for k in np.flatnonzero(fallback[:stop]):

@@ -369,14 +369,44 @@ def test_cli_standard_cos_of_jordan_faces(tmp_path, capsys):
     assert _rel(bcirc(read_tensor(out)), scipy.linalg.cosm(bcirc(a))) <= 1e-12
 
 
+def _triangular_fn(f, face):
+    # f of an upper-triangular 2x2 face with distinct eigenvalues a, c:
+    # [[f(a), b (f(c) - f(a)) / (c - a)], [0, f(c)]], on the principal branch
+    (a, b), (_, c) = np.asarray(face, dtype=np.complex128)
+    return np.array([[f(a), b * (f(c) - f(a)) / (c - a)], [0.0, f(c)]])
+
+
+def _with_eigenvalue(face, x):
+    # the 2x2 face extended to 3x3 by the decoupled eigenvalue x
+    out = np.zeros((3, 3))
+    out[:2, :2], out[2, 2] = face, x
+    return out
+
+
+@pytest.mark.parametrize("name, face", [
+    ("sin", [[-25.0, 1e12], [0.0, 25.0]]),
+    ("inverse_shift", [[-0.98, 1e9], [0.0, 0.98]]),
+    ("ln1p", [[-1.5, 1e10], [0.0, 3.0]]),
+])
+def test_standard_2x2_faces_beyond_the_taylor_sum_take_the_closed_form(name, face):
+    # the Taylor sum about the mean refuses these faces (see the two tests below); the
+    # closed form of a 2x2 face needs no series and reads at most 1.8e-16 here
+    f = named_scalar_fn(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = standard_tfn(Tensor3(np.array([face])), f).data[0]
+    want = _triangular_fn(f, face)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("name, face, err, message", [
-    ("sin", [[-25.0, 1e12], [0.0, 25.0]], DefectiveFace,
+    ("sin", _with_eigenvalue([[-25.0, 1e12], [0.0, 25.0]], 0.5), DefectiveFace,
      "face 0: Taylor sum cancels, estimated relative error 9.6e-06 > 1e-10"),
-    ("inverse_shift", [[-0.98, 1e9], [0.0, 0.98]], SeriesDivergence,
+    ("inverse_shift", _with_eigenvalue([[-0.98, 1e9], [0.0, 0.98]], 0.5), SeriesDivergence,
      "face 0: series did not settle in 500 terms"),
 ])
 def test_standard_taylor_sum_refusals_exit_3(tmp_path, capsys, name, face, err, message):
-    # both faces fail the eigenvector guard; about their mean 0 the terms of
+    # both faces fail the eigenvector guard; about their mean 1/6 the terms of
     # the sin sum grow to 4e10 times the result, and those of the
     # inverse_shift sum shrink by only 0.98 a term
     a = Tensor3(np.array([face]))
@@ -611,7 +641,8 @@ def test_standard_series_face_outside_radius():
     got = standard_tfn(Tensor3(d[None]), named_scalar_fn("ln1p")).data[0]
     assert _rel(got, scipy.linalg.logm(np.eye(2) + d)) <= 1e-15
     # the eigenvalue -1.5 puts the branch point -1 inside the disc about the mean 0.75
-    a = Tensor3(np.array([[[-1.5, 1e10], [0.0, 3.0]]]))
+    # (a 2x2 face takes the closed form instead, tested above)
+    a = Tensor3(_with_eigenvalue([[-1.5, 1e10], [0.0, 3.0]], 0.75)[None])
     with pytest.raises(SeriesDivergence, match="face 0: eigenvalue spread 2.25 about the "
                                                "mean >= series radius 1.75") as exc:
         standard_tfn(a, named_scalar_fn("ln1p"))

@@ -585,6 +585,17 @@ def test_cli_missing_file_is_io_error(capsys):
     assert rc == 4
 
 
+def test_cli_closed_stdout_is_io_error(tmp_path, capsys, monkeypatch):
+    # Python starts with sys.stdout None when file descriptor 1 is closed
+    out = tmp_path / "x.tt3a"
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(["info", str(FIXTURES / "csvd_example.txt")]) == 4
+    assert main(["apply", str(FIXTURES / "tube4.txt"), "--fn", "square", "--standard",
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: standard output is closed\n" * 2
+    assert not out.exists()
+
+
 def _assert_io_exit(argv, capsys):
     rc = main(argv)
     err = capsys.readouterr().err

@@ -24,7 +24,7 @@ from tprod import (
 )
 
 from tprod.errors import NonFinite, Singular
-from tprod import spectral
+from tprod import genfun, spectral
 from tprod.spectral import _ct, _matmul, from_faces, mirror, to_faces
 
 from conftest import rand3, rand_low_rank
@@ -428,21 +428,30 @@ def test_subnormal_2x2_faces_keep_their_ranks_and_norms():
 
 
 def test_only_complex_2x2_stacks_skip_lapack(rng, monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+    calls, kernels = [], []
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+    def spy(fn, log, name):
+        return lambda *args, **kwargs: log.append((name, args[0].shape)) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd, calls, "svd"))
+    for name in ("eig", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name), kernels, name))
+    monkeypatch.setattr(genfun, "_expm_chunk", spy(genfun._expm_chunk, kernels, "pade"))
     for shape, cplx in (((2, 2, 5), False), ((2, 2, 4), True)):
         a = rand3(rng, *shape, cplx)
         tcsvd(a), tsvd(a), specnorm(a), inverse(a)
-    # the eig route's eigenvector guard of a complex stack
-    standard_tfn(rand3(rng, 2, 2, 4, True), named_scalar_fn("sinh"))
-    assert calls == []
+        # the standard T-function of generic 2x2 faces is a closed form
+        for f in ("exp", "sinh"):
+            standard_tfn(a, named_scalar_fn(f))
+    assert calls == kernels == []
+    # a Jordan face is flagged and takes the kernel of larger faces; the eig route's
+    # eigenvector guard of its complex stack skips LAPACK's SVD
+    jordan = Tensor3(np.array([[[1.0, 1.0], [0.0, 1.0]]]))
+    for f in ("exp", "sinh"):
+        standard_tfn(jordan, named_scalar_fn(f))
+    assert calls == [] and kernels == [("pade", (1, 2, 2)), ("solve", (1, 2, 2)),
+                                       ("eig", (1, 2, 2))]
     tcsvd(rand3(rng, 2, 3, 4))
     spectral._svd(_stack(rng, (4, 2, 2), False), False)
     spectral._svdvals(_stack(rng, (4, 2, 2), True).astype(np.complex64))
-    assert calls == [(3, 2, 3), (4, 2, 2), (4, 2, 2)]
+    assert calls == [("svd", (3, 2, 3)), ("svd", (4, 2, 2)), ("svd", (4, 2, 2))]

@@ -150,6 +150,21 @@ def test_threaded_overflow_names_the_lowest_face_without_warnings(monkeypatch, n
     assert caught == []
 
 
+def test_pade_stacks_below_the_product_threshold_stay_on_the_calling_thread(rng, monkeypatch):
+    # the Pade kernel counts as a chain of 16 n^3 multiply-adds a face: 513 real 4x4 faces
+    # (2^19) stay on the calling thread, 64 complex 16x16 faces (2^22) are split
+    splits = []
+    each_slice = spectral._each_slice
+    monkeypatch.setattr(spectral, "_each_slice",
+                        lambda h, n, work, threaded=None: splits.append((h, n, threaded))
+                        or each_slice(h, n, work, threaded))
+    _cpus(monkeypatch, 2)
+    standard_tfn(_scaled(rng, 4, 1024, False), named_scalar_fn("exp"))
+    assert splits == []
+    standard_tfn(_scaled(rng, 16, 64, True), named_scalar_fn("exp"))
+    assert splits == [(64, 16, True)]
+
+
 @pytest.mark.parametrize("early", [True, False], ids=["pool-built", "no-pool"])
 def test_call_from_an_atexit_hook_runs_on_the_calling_thread(early):
     # at interpreter shutdown the pool takes no new work, whether or not it was built
