@@ -370,8 +370,11 @@ def _eig_chunk(d, f):
     """
     out = np.empty(d.shape, dtype=np.complex128)
     fallback = np.zeros(len(d), dtype=bool)
-    scale = np.maximum(np.linalg.norm(d, axis=(-2, -1)), 1.0)
-    herm = np.linalg.norm(d - d.conj().swapaxes(-2, -1), axis=(-2, -1)) <= 1e-12 * scale
+    # largest entries, not Frobenius norms, which overflow from entries near 1e154: inf <=
+    # 1e-12 inf would pass and send a triangular face to eigh, which reads one triangle.
+    # A face whose largest entry's modulus still overflows goes to eig for the same reason.
+    scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+    herm = (np.abs(d - _ct(d)).max(axis=(-2, -1)) <= 1e-12 * scale) & np.isfinite(scale)
     if herm.any():
         w, v = np.linalg.eigh(d[herm])
         fw = _values_on(f, w.astype(np.complex128))

@@ -11,7 +11,10 @@ module reaches the faces through :func:`to_faces` and leaves through
 :func:`from_faces`, running one batched kernel over the face stack in
 between through :func:`_per_face`: slices of about ``_CHUNK / n^2`` faces,
 spread over the CPUs the process may use where :func:`_threaded` holds and
-in order on the calling thread otherwise. Products go through :func:`_matmul`:
+in order on the calling thread otherwise. A slice is small enough that the
+allocator keeps its temporaries from one slice to the next (``_CHUNK``).
+The transforms themselves go by rows of about ``_CHUNK`` elements over the
+same threads once they span four slices. Products go through :func:`_matmul`:
 numpy's ``@`` makes one BLAS call per face, which costs more than the
 arithmetic of a small face, so an inner dimension of 1 or 2 is formed as
 broadcast multiply-adds over the whole stack; from 3 up those lose on short
@@ -52,9 +55,17 @@ _EPS = float(np.finfo(np.float64).eps)
 # a self-conjugate face's imaginary part above this fraction of the largest entry
 # is no roundoff (eig at its conditioning limit loses about 2e-8)
 _SELF_CONJUGATE_RTOL = 1e-6
-# complex elements per chunk of a batched work array (quadrature nodes x
-# values, or a slice of the face stack), so peak memory stays flat in p
-_CHUNK = 1 << 16
+# complex elements per chunk of a batched work array (quadrature nodes x values, a
+# slice of the face stack, or a part of a tube transform), so peak memory stays flat
+# in p: one 128x128 face, 256 KB. It is also small enough that the allocator keeps a
+# slice's temporaries for the next one. glibc raises its mmap threshold to the largest
+# mmapped block freed (a 4 MB stack on 128x128x16) and trims an arena whose free top
+# passes twice that. The Pade chain keeps about ten slice-sized temporaries, so at
+# 2^16 a helper's arena most likely passed 8 MB, was trimmed after each slice and
+# faulted the same pages back in. From 2^16 to 2^14, with one BLAS thread on a 2-vCPU
+# Xeon (getrusage), standard_tfn(exp) of a complex 128x128x16 tensor took 11.1k -> 2.0k
+# to 2.5k minor faults and 28.5 -> 23.6 ms a call
+_CHUNK = 1 << 14
 # a face stack of fewer elements (h n^2) than this stays on the calling thread. On a
 # 2-vCPU Xeon with one BLAS thread a batched complex SVD took about 0.4 us per
 # element from n = 8 to 128, so the elements track the work where h n^3 does not;
@@ -120,21 +131,22 @@ def _threaded(work, limit=_THREAD_WORK):
     return work >= limit and _cpus() > 1 and not _slices.busy
 
 
-def _each_slice(h, n, work, threaded=None):
-    """Call ``work(part)`` for contiguous slices ``part`` covering h faces of order n.
+def _each_slice(h, size, work, threaded=None):
+    """Call ``work(part)`` for contiguous slices ``part`` covering h items of ``size`` elements.
 
-    The stack is cut into slices of about ``_CHUNK / n^2`` faces. Where
-    ``threaded`` holds (by default :func:`_threaded` of the h n^2 elements)
-    there are at least as many slices as CPUs, and the calling thread and
-    ``cpus - 1`` helper threads take them in turn. numpy's LAPACK and matmul
-    loops release the GIL and every face is worked on its own, so the
-    results are those of one call on the whole stack. Otherwise the slices
+    An item is a face (n^2 elements) or a row of a tube transform. The items
+    are cut into slices of about ``_CHUNK / size`` items. Where ``threaded``
+    holds (by default :func:`_threaded` of the h size elements) there are at
+    least as many slices as CPUs, and the calling thread and ``cpus - 1``
+    helper threads take them in turn. numpy's LAPACK, matmul and FFT loops
+    release the GIL and every item is worked on its own, so the results are
+    those of one call on all of them. Otherwise the slices
     run in order on the calling thread. Helpers run under the caller's
     ``np.geterr()``. An exception is raised once every slice is done: the
     one of the lowest slice that raised, as a loop would.
     """
-    step = max(1, _CHUNK // (n * n))
-    if not (_threaded(h * n * n) if threaded is None else threaded):
+    step = max(1, _CHUNK // size)
+    if not (_threaded(h * size) if threaded is None else threaded):
         for i in range(0, h, step):
             work(slice(i, min(i + step, h)))
         return
@@ -202,7 +214,7 @@ def _per_face(kernel, stacks, *outs, madds=None):
         for o, x in zip(out, res if len(out) > 1 else (res,)):
             o[part] = x
 
-    _each_slice(h, n, work, threaded)
+    _each_slice(h, n * n, work, threaded)
     return tuple(out) if len(out) > 1 else out[0]
 
 
@@ -333,19 +345,49 @@ def default_rank_rtol(m, n, p):
     return max(m, n) * p * _EPS
 
 
+def _along_tubes(fft, x, p, dtype):
+    """``fft(x, n=p, axis=0)`` of a (len, m, n) array, into (q, m, n) of ``dtype``.
+
+    Where :func:`_threaded` holds for a transform of at least four slices
+    (``4 * _CHUNK`` complex elements, counted on the complex side of a real
+    transform), its rows go through :func:`_each_slice` in parts of about
+    ``_CHUNK`` elements, each into one output allocated up front. Each tube
+    is transformed on its own, so the result is bitwise that of one call.
+    Smaller transforms are one call. Split over two threads on a 2-vCPU
+    Xeon, a complex 16x128x128 ``fft`` took 0.76 -> 0.58 ms and a real
+    ``irfft`` 0.62 -> 0.43 ms, but a complex 2x2x4096 ``fft`` 0.071 -> 0.12
+    ms, and a real 32x32x64 ``rfft`` (2^16 real elements) 0.12 -> 0.16 ms.
+    """
+    if x.size < 4 * _CHUNK:  # x holds no fewer elements than its complex side
+        return fft(x, n=p, axis=0)
+    _, m, n = x.shape
+    q = p // 2 + 1 if fft is np.fft.rfft else p
+    # complex elements of a row, on the complex side of a real transform
+    size = min(len(x), q) * n
+    if not _threaded(size * m, 4 * _CHUNK):
+        return fft(x, n=p, axis=0)
+    out = np.empty((q, m, n), dtype)
+
+    def work(part):
+        out[:, part] = fft(x[:, part], n=p, axis=0)
+
+    _each_slice(m, size, work, True)
+    return out
+
+
 def to_faces(*tensors, allow_half=True):
     """Forward DFT along the tubes of tensors sharing p: ``(half, [stacks])``.
 
     ``half`` is true when ``allow_half`` is set and every operand is exactly
     real; each stack then holds faces 0..p//2 only. Otherwise each stack
     holds all p faces. Raises :class:`NonFinite` before any transform when
-    an operand holds a NaN or an infinity, so none reaches LAPACK.
+    an operand holds a NaN or an infinity, so none reaches LAPACK. A large
+    transform runs on every CPU, by :func:`_along_tubes`.
     """
     require_finite(*tensors)
     half = allow_half and all(t.exactly_real for t in tensors)
-    if half:
-        return True, [np.fft.rfft(t.data, axis=0) for t in tensors]
-    return False, [np.fft.fft(t.data, axis=0) for t in tensors]
+    fft = np.fft.rfft if half else np.fft.fft
+    return half, [_along_tubes(fft, t.data, t.p, np.complex128) for t in tensors]
 
 
 def require_finite(*tensors):
@@ -361,7 +403,8 @@ def from_faces(faces, p, half) -> Tensor3:
     A half spectrum comes back through ``irfft`` as float64 unless its
     self-conjugate faces (0, and p/2 for even p) carry an imaginary part above
     ``_SELF_CONJUGATE_RTOL`` of its largest entry, which ``irfft`` would drop;
-    then it is mirrored and comes back through ``ifft`` as complex128.
+    then it is mirrored and comes back through ``ifft`` as complex128. A
+    large transform runs on every CPU, by :func:`_along_tubes`.
     """
     if half:
         ends = faces[[0, -1] if p % 2 == 0 else [0]]
@@ -370,9 +413,9 @@ def from_faces(faces, p, half) -> Tensor3:
         # stack is scanned only when imag is above the cut relative to theirs
         if (imag == 0.0 or not imag > _SELF_CONJUGATE_RTOL * np.abs(ends).max()
                 or not imag > _SELF_CONJUGATE_RTOL * np.abs(faces).max()):
-            return Tensor3._adopt(np.fft.irfft(faces, n=p, axis=0))
+            return Tensor3._adopt(_along_tubes(np.fft.irfft, faces, p, np.float64))
         faces = mirror(faces, p)
-    return Tensor3._adopt(np.fft.ifft(faces, axis=0))
+    return Tensor3._adopt(_along_tubes(np.fft.ifft, faces, p, np.complex128))
 
 
 def mirror(faces, p):

@@ -215,3 +215,29 @@ def test_overflow_names_the_lowest_face():
             genfun._face_functions(faces[3:], named_scalar_fn("sinh"))
         with pytest.raises(FnDomainError, match="^exp not finite on face 1$"):
             genfun._face_functions(faces[::-1][:-1], named_scalar_fn("exp"))
+
+
+@pytest.mark.parametrize("b", [1e200, 1e308])
+@pytest.mark.parametrize("name", ["cos", "sin", "sinh", "square"])
+def test_triangular_faces_beyond_the_frobenius_range(name, b):
+    # the closed form flags a coupling beyond 2^500, and the eig kernel once took these
+    # faces for Hermitian: its Frobenius norms overflowed to inf <= 1e-12 inf, and eigh
+    # read the zero lower triangle, so they came back diagonal with exit 0
+    a = Tensor3(np.array([[[1.0, b], [0.0, 3.0]]]))
+    f = named_scalar_fn(name)
+    fa, fc = f(1.0), f(3.0)
+    if abs(fc - fa) / 2 > np.finfo(float).max / b:
+        # sinh and square of the 1e308 face: the exact coupling overflows
+        with pytest.raises(SeriesDivergence, match="^face 0: series did not settle"):
+            standard_tfn(a, f)
+        return
+    want = np.array([[fa, b * ((fc - fa) / 2)], [0.0, fc]])
+    assert _rel(standard_tfn(a, f).data[0], want) <= 1e-14
+
+
+def test_a_face_whose_largest_modulus_overflows_is_not_taken_for_hermitian():
+    # every part is finite but |1.5e308 (1 + i)| is not: eigh would read the real
+    # diagonal and the zero lower triangle and return a finite cos
+    a = Tensor3(np.array([[[1.5e308 * (1 + 1j), 1.0], [0.0, 3.0]]]))
+    with pytest.raises(FnDomainError, match="^cos not finite on face 0$"):
+        standard_tfn(a, named_scalar_fn("cos"))

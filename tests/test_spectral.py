@@ -45,6 +45,26 @@ def test_face_round_trip(rng):
     assert fnorm(b - a) <= 1e-13 * fnorm(a)
 
 
+@pytest.mark.parametrize("p, m, n", [(6, 5, 7), (7, 9, 4), (8, 1, 32)])
+def test_split_transforms_match_numpy_bitwise(rng, monkeypatch, p, m, n):
+    # slices of 16 elements: every transform here spans four or more and is split by rows
+    # over two threads, one row where m = 1
+    monkeypatch.setattr(spectral, "_CHUNK", 16)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    x = rng.standard_normal((p, m, n))
+    z = x + 1j * rng.standard_normal((p, m, n))
+    half = np.fft.rfft(x, axis=0)
+    tilted = half.copy()
+    tilted[0] += 1j
+    pairs = [(to_faces(Tensor3(x))[1][0], half),
+             (to_faces(Tensor3(z))[1][0], np.fft.fft(z, axis=0)),
+             (from_faces(half, p, True).data, np.fft.irfft(half, n=p, axis=0)),
+             (from_faces(tilted, p, True).data, np.fft.ifft(mirror(tilted, p), axis=0)),
+             (from_faces(z, p, False).data, np.fft.ifft(z, axis=0))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _self_conjugate(p):
     return [0, p // 2] if p % 2 == 0 else [0]
 

@@ -18,6 +18,7 @@ from tprod import Tensor3, genfun, gfun, inverse, lstsq, named_scalar_fn, pinv, 
 from tprod import solve_axb, spectral, specnorm, standard_tfn, tcsvd, tprod, tsvd
 from tprod.errors import FnDomainError
 from tprod.solve import standard_fn_contour
+from tprod.spectral import from_faces, to_faces
 
 
 def _cpus(monkeypatch, count):
@@ -99,7 +100,7 @@ def test_helpers_take_slices_and_one_cpu_starts_none(monkeypatch):
         both.wait(10)
 
     _cpus(monkeypatch, 2)
-    spectral._each_slice(64, 16, work)
+    spectral._each_slice(64, 16 * 16, work)
     assert sorted(parts) == [(0, 32), (32, 64)]
     assert both.is_set() and any(name.startswith("tprod-faces") for name in names)
 
@@ -110,7 +111,7 @@ def test_helpers_take_slices_and_one_cpu_starts_none(monkeypatch):
     monkeypatch.setattr(spectral, "_helpers", no_helpers)
     names.clear()
     parts.clear()
-    spectral._each_slice(64, 16, work)
+    spectral._each_slice(64, 16 * 16, work)
     assert parts == [(0, 64)] and names == [threading.current_thread().name]
 
 
@@ -123,7 +124,68 @@ def test_lowest_slice_error_wins_when_a_later_slice_fails_first(monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(spectral, "_CHUNK", 16 * 16 * 8)
     with pytest.raises(ValueError, match="^0$"):
-        spectral._each_slice(64, 16, work)
+        spectral._each_slice(64, 16 * 16, work)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["in-order", "threaded"])
+def test_no_slice_holds_more_than_a_chunk_or_one_face(monkeypatch, threaded):
+    _cpus(monkeypatch, 2)
+    for h, n in [(1, 200), (5, 200), (3, 128), (16, 128), (64, 32), (33, 16), (4096, 2),
+                 (1025, 4), (17, 3)]:
+        parts, sizes = [], []
+        spectral._each_slice(h, n * n, parts.append, threaded)
+        assert [i for part in sorted(parts, key=lambda s: s.start)
+                for i in range(part.start, part.stop)] == list(range(h))
+        # and what _per_face hands its kernel, one slice or many
+        spectral._per_face(lambda d: sizes.append(d.size) or d, (np.zeros((h, n, n)),),
+                           ((n, n), np.float64))
+        for size in [(part.stop - part.start) * n * n for part in parts] + sizes:
+            assert size <= max(spectral._CHUNK, n * n), (h, n)
+
+
+def _transforms(a):
+    """Every transform of to_faces and from_faces on ``a``, the mirrored one included."""
+    half, (faces,) = to_faces(a)
+    yield faces
+    yield from_faces(faces, a.p, half).data
+    if half:
+        # an imaginary face 0 is mirrored and comes back through ifft
+        tilted = faces.copy()
+        tilted[0] += 1j * np.abs(faces).max()
+        yield from_faces(tilted, a.p, half).data
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("p, m, n", [(16, 64, 128), (17, 48, 160), (32, 1, 4096),
+                                     (33, 1, 4096)])
+def test_split_transforms_equal_one_call_bitwise(rng, monkeypatch, cplx, p, m, n):
+    # at least four slices (2^16 complex elements, p // 2 + 1 faces for real input): split
+    # by rows over two CPUs, a row of m = 1 into one part
+    a = rand3(rng, m, n, p, cplx)
+    splits = []
+    each_slice = spectral._each_slice
+    monkeypatch.setattr(spectral, "_each_slice",
+                        lambda h, size, work, threaded=None: splits.append(h)
+                        or each_slice(h, size, work, threaded))
+    runs = {}
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        runs[count] = list(_transforms(a))
+        assert splits == ([m] * len(runs[count]) if count == 2 else [])
+    for one, many in zip(runs[1], runs[2], strict=True):
+        assert one.dtype == many.dtype and one.shape == many.shape
+        assert np.array_equal(one, many)
+
+
+def test_small_transforms_stay_on_the_calling_thread(rng, monkeypatch):
+    # 2^14 elements: two threads took 0.071 -> 0.12 ms on a complex 2x2x4096 fft
+    def no_split(*args):
+        raise AssertionError("a transform below four slices is one call")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(spectral, "_each_slice", no_split)
+    for cplx in (False, True):
+        list(_transforms(rand3(rng, 2, 2, 4096, cplx)))
 
 
 def _two_bad_faces(name):
@@ -156,13 +218,13 @@ def test_pade_stacks_below_the_product_threshold_stay_on_the_calling_thread(rng,
     splits = []
     each_slice = spectral._each_slice
     monkeypatch.setattr(spectral, "_each_slice",
-                        lambda h, n, work, threaded=None: splits.append((h, n, threaded))
-                        or each_slice(h, n, work, threaded))
+                        lambda h, size, work, threaded=None: splits.append((h, size, threaded))
+                        or each_slice(h, size, work, threaded))
     _cpus(monkeypatch, 2)
     standard_tfn(_scaled(rng, 4, 1024, False), named_scalar_fn("exp"))
     assert splits == []
     standard_tfn(_scaled(rng, 16, 64, True), named_scalar_fn("exp"))
-    assert splits == [(64, 16, True)]
+    assert splits == [(64, 16 * 16, True)]
 
 
 @pytest.mark.parametrize("early", [True, False], ids=["pool-built", "no-pool"])
