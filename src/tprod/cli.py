@@ -15,7 +15,7 @@ from .core import conj_transpose, fnorm
 from .errors import FnDomainError, InvalidArgument, TprodError
 from .genfun import gfun, gfun_taylor, named_scalar_fn, polynomial, standard_tfn
 from .solve import gfun_contour, lstsq, pinv, solve_axb, standard_fn_contour
-from .spectral import tcsvd
+from .spectral import tcsvd, tsvd
 from .structure import StructClass, is_member, preservation_check
 
 EXIT_OK = 0
@@ -39,23 +39,19 @@ def cmd_info(args):
 
 def cmd_decompose(args):
     a = tio.read_tensor(args.path)
-    c = tcsvd(a) if args.compact else None
     if args.compact:
-        u, s, v = c.Ur, c.Sr, c.Vr
+        c = tcsvd(a)
+        u, s, v, rank_line = c.Ur, c.Sr, c.Vr, f"\ntubal rank: {c.r}"
     else:
-        from .spectral import tsvd
-
         f = tsvd(a)
-        u, s, v = f.U, f.S, f.V
+        u, s, v, rank_line = f.U, f.S, f.V, ""
     rec = tprod(u, tprod(s, conj_transpose(v)))
     residual = fnorm(rec - a) / max(fnorm(a), 1e-300)
     prefix = args.out_prefix
     tio.write_tensor(f"{prefix}_U.tt3a", u, text=args.text)
     tio.write_tensor(f"{prefix}_S.tt3a", s, text=args.text)
     tio.write_tensor(f"{prefix}_V.tt3a", v, text=args.text)
-    print(f"reconstruction residual: {residual:.3e}")
-    if args.compact:
-        print(f"tubal rank: {c.r}")
+    print(f"reconstruction residual: {residual:.3e}{rank_line}")
     if residual > 1e-10:
         print("error: factors fail to reconstruct the input", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -154,9 +150,20 @@ def count(text):
     return value
 
 
+def tolerance(text):
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="tprod", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # the output options of every command that writes one result
+    result = argparse.ArgumentParser(add_help=False)
+    result.add_argument("--out", required=True)
+    result.add_argument("--text", action="store_true")
 
     p_info = sub.add_parser("info", help="dims, norms, tubal rank, face ranks")
     p_info.add_argument("path")
@@ -169,7 +176,7 @@ def build_parser():
     p_dec.add_argument("--text", action="store_true", help="write text files")
     p_dec.set_defaults(fn_=cmd_decompose)
 
-    p_app = sub.add_parser("apply", help="apply a scalar function to a tensor")
+    p_app = sub.add_parser("apply", parents=[result], help="apply a scalar function to a tensor")
     p_app.add_argument("path")
     g = p_app.add_mutually_exclusive_group(required=True)
     g.add_argument("--fn", help="named function, e.g. exp, sin, sqrt, square, power(1.5)")
@@ -181,29 +188,22 @@ def build_parser():
                        default="spectral")
     p_app.add_argument("--nodes", type=int, help="quadrature nodes of the contour routes")
     p_app.add_argument("--z0", type=float, help="expansion point of the generalized series route")
-    p_app.add_argument("--out", required=True)
-    p_app.add_argument("--text", action="store_true")
     p_app.set_defaults(fn_=cmd_apply)
 
-    p_pinv = sub.add_parser("pinv", help="Moore-Penrose inverse")
+    p_pinv = sub.add_parser("pinv", parents=[result], help="Moore-Penrose inverse")
     p_pinv.add_argument("path")
-    p_pinv.add_argument("--out", required=True)
-    p_pinv.add_argument("--text", action="store_true")
     p_pinv.set_defaults(fn_=cmd_pinv)
 
-    p_solve = sub.add_parser("solve", help="best-consistent solution of A*X*B = D")
+    p_solve = sub.add_parser("solve", parents=[result],
+                             help="best-consistent solution of A*X*B = D")
     p_solve.add_argument("--A", required=True)
     p_solve.add_argument("--B", required=True)
     p_solve.add_argument("--D", required=True)
-    p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--text", action="store_true")
     p_solve.set_defaults(fn_=cmd_solve)
 
-    p_ls = sub.add_parser("lstsq", help="least squares solution of A*X = B")
+    p_ls = sub.add_parser("lstsq", parents=[result], help="least squares solution of A*X = B")
     p_ls.add_argument("--A", required=True)
     p_ls.add_argument("--B", required=True)
-    p_ls.add_argument("--out", required=True)
-    p_ls.add_argument("--text", action="store_true")
     p_ls.set_defaults(fn_=cmd_lstsq)
 
     p_chk = sub.add_parser("check", help="structured-class membership and preservation")
@@ -211,9 +211,9 @@ def build_parser():
     p_chk.add_argument("--class", dest="cls", required=True)
     p_chk.add_argument("--fn", default=None)
     p_chk.add_argument("--trials", type=count, default=0)
-    p_chk.add_argument("--tol", type=float, default=1e-8)
-    p_chk.add_argument("--preserve-tol", type=float, default=1e-8)
-    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--tol", type=tolerance, default=1e-8)
+    p_chk.add_argument("--preserve-tol", type=tolerance, default=1e-8)
+    p_chk.add_argument("--seed", type=count, default=0)
     p_chk.set_defaults(fn_=cmd_check)
 
     return ap

@@ -570,6 +570,8 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
     inside its disc of convergence; must agree with :func:`gfun` to about
     10 * tol.
     """
+    if not np.isfinite(z0):
+        raise InvalidArgument(f"expansion point z0 = {z0} is not finite")
     series = f.taylor(z0)
     if series is None:
         raise FnDomainError(f"{f.name or 'f'} has no Taylor series about z0 = {z0}")

@@ -112,6 +112,13 @@ def write_text(path, a: Tensor3, force_complex=False):
             fh.write("\n".join(lines) + "\n")
 
 
+def _line_number(path, k):
+    """The number in the file of its k-th line that is not blank (from 0): the reader
+    skips blank lines, and a message names a line as an editor counts it."""
+    with open(path) as fh:
+        return [i for i, ln in enumerate(fh, 1) if ln.strip()][k]
+
+
 def read_text(path) -> Tensor3:
     try:
         with open(path) as fh:
@@ -133,19 +140,20 @@ def read_text(path) -> Tensor3:
     if len(body) != m * p:
         raise FileFormatError(f"{path}: expected {m * p} value lines, found {len(body)}")
 
-    def row(lineno, line):
+    def row(k, line):
         toks = line.split()
         if len(toks) != n:
-            raise FileFormatError(f"{path}: line {lineno} has {len(toks)} values, expected {n}")
+            raise FileFormatError(f"{path}: line {_line_number(path, k)} has {len(toks)} values, "
+                                  f"expected {n}")
         return toks
 
     # n values take at least 2n - 1 characters: where a line is shorter, the lines are
     # checked in order before m n p values are allocated, and the first wrong one raises
     if min(map(len, body)) < 2 * n - 1:
-        for lineno, line in enumerate(body, 2):
-            row(lineno, line)
+        for k, line in enumerate(body, 1):
+            row(k, line)
     # one line's tokens at a time, parsed straight into the array
-    tokens = itertools.chain.from_iterable(map(row, itertools.count(2), body))
+    tokens = itertools.chain.from_iterable(map(row, itertools.count(1), body))
     kind, parse, dtype = (("complex", _parse_complex, np.complex128) if complex_file
                           else ("real", float, np.float64))
     try:

@@ -200,7 +200,12 @@ def _per_face(kernel, stacks, *outs, madds=None):
     returns. A stack that :func:`_threaded` splits (on its elements, or on
     ``madds`` for a product chain) or that has more than one slice runs by
     :func:`_each_slice`, each slice of every stack into arrays allocated up
-    front; otherwise this is one call on the whole stacks.
+    front; otherwise this is one call on the whole stacks. The outputs are
+    declared by the caller and allocated here, on the calling thread, rather
+    than taken from whichever slice finishes first: an array that a helper
+    thread allocates comes from that helper's malloc arena, and doing so
+    raised the maximum RSS of a faces-large task mix from 95 to 99-101 MB
+    (2-vCPU Xeon, one BLAS thread).
     """
     h = len(stacks[0])
     n = max(max(s.shape[1:]) for s in stacks)
@@ -358,8 +363,6 @@ def _along_tubes(fft, x, p, dtype):
     ``irfft`` 0.62 -> 0.43 ms, but a complex 2x2x4096 ``fft`` 0.071 -> 0.12
     ms, and a real 32x32x64 ``rfft`` (2^16 real elements) 0.12 -> 0.16 ms.
     """
-    if x.size < 4 * _CHUNK:  # x holds no fewer elements than its complex side
-        return fft(x, n=p, axis=0)
     _, m, n = x.shape
     q = p // 2 + 1 if fft is np.fft.rfft else p
     # complex elements of a row, on the complex side of a real transform

@@ -549,6 +549,14 @@ def test_taylor_zero_tensor():
     assert fnorm(out) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z0", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_taylor_refuses_a_non_finite_expansion_point(z0):
+    # a usage error, raised before f's series is formed about z0
+    with pytest.raises(InvalidArgument, match="not finite"):
+        gfun_taylor(Tensor3(np.eye(2)[None]), SIN, z0=z0)
+
+
 def test_taylor_radius_violation(rng):
     a = rand3(rng, 3, 3, 2)
     a = (2.5 / specnorm(a)) * a

@@ -139,6 +139,19 @@ def test_real_text_defects_name_the_defect(tmp_path, body, message):
         read_text(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("2 2 1 real64\n\n1 2\n\n3\n", "line 5 has 1 values, expected 2",
+                 id="short-row"),
+    pytest.param("\n2 2 1 real64\n1 2 3\n4 5\n", "line 3 has 3 values, expected 2",
+                 id="blank-before-header"),
+])
+def test_text_defects_are_named_by_their_line_in_the_file(tmp_path, capsys, text, message):
+    # blank lines are skipped but still counted
+    bad = tmp_path / "blank.txt"
+    bad.write_text(text)
+    _refused(read_text, bad, message, capsys)
+
+
 def test_real_text_values_parse_as_python_float(tmp_path):
     toks = ["0.1", "-0.0", "1e-320", "1_0", "+3.5E2", "2.2250738585072014e-308"]
     path = tmp_path / "r.txt"
@@ -238,6 +251,17 @@ def test_cli_decompose_compact_golden(tmp_path, capsys):
     assert rc == 0 and "tubal rank: 2" in out
     u = read_tensor(tmp_path / "c_U.tt3a")
     assert u.shape == (3, 2, 3)
+
+
+@pytest.mark.parametrize("flags, tail", [([], []), (["--compact"], ["tubal rank: 2"])],
+                         ids=["full", "compact"])
+def test_cli_decompose_reports_the_residual_then_the_compact_rank(tmp_path, capsys, flags, tail):
+    rc = main(["decompose", str(FIXTURES / "csvd_example.txt"), *flags,
+               "--out-prefix", str(tmp_path / "c")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert re.fullmatch(r"reconstruction residual: \d\.\d{3}e-\d\d", lines[0])
+    assert lines[1:] == tail
 
 
 def test_cli_decompose_p1_matrix_case(tmp_path, capsys, rng):
@@ -516,6 +540,21 @@ def test_cli_solve_and_lstsq(tmp_path, capsys, rng):
     assert fnorm(read_tensor(tmp_path / "LS.tt3a") - want) <= 1e-10 * fnorm(want)
 
 
+@pytest.mark.parametrize("argv", [
+    ["apply", str(FIXTURES / "inverse_a.txt"), "--fn", "square"],
+    ["pinv", str(FIXTURES / "inverse_a.txt")],
+    ["solve", *(x for k in "ABD" for x in (f"--{k}", str(FIXTURES / "inverse_a.txt")))],
+    ["lstsq", "--A", str(FIXTURES / "inverse_a.txt"), "--B", str(FIXTURES / "inverse_b.txt")],
+], ids=["apply", "pinv", "solve", "lstsq"])
+def test_cli_result_commands_need_out_and_take_text(tmp_path, capsys, argv):
+    assert main(argv) == 2
+    assert "--out" in capsys.readouterr().err
+    out = tmp_path / "x.txt"
+    assert main([*argv, "--text", "--out", str(out)]) == 0
+    assert out.read_text().startswith("2 2 3 real64\n")
+    assert read_text(out).shape == (2, 2, 3)
+
+
 def test_cli_check_membership(tmp_path, capsys, rng):
     from tprod import random_member
 
@@ -557,6 +596,51 @@ def test_cli_check_negative_trials_is_usage_error(tmp_path, capsys):
                "--trials", "-2"])
     assert rc == 2
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
+    ["--fn", "sinh", "--preserve-tol", "nan"], ["--fn", "sinh", "--preserve-tol", "-0.5"],
+])
+def test_cli_check_tolerance_outside_finite_nonnegative_is_usage_error(tmp_path, capsys, flags):
+    from tprod import random_member
+
+    src = tmp_path / "sym.tt3a"
+    write_tensor(src, random_member("symmetric", (3, 3, 4), seed=1))
+    rc = main(["check", str(src), "--class", "symmetric", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and f"argument {flags[-2]}: must be a finite nonnegative" in errors[0]
+
+
+def test_cli_check_negative_seed_is_usage_error(tmp_path, capsys):
+    # numpy's generators refuse a negative seed; that must not read as a numerical failure
+    src = tmp_path / "sym.tt3a"
+    write_tensor(src, identity(3, 2))
+    rc = main(["check", str(src), "--class", "symmetric", "--fn", "sin", "--trials", "1",
+               "--seed", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "argument --seed: must be a nonnegative integer" in captured.err
+
+
+def test_cli_check_accepts_a_zero_tolerance(tmp_path, capsys):
+    src = tmp_path / "eye.tt3a"
+    write_tensor(src, identity(3, 2))
+    assert main(["check", str(src), "--class", "symmetric", "--tol", "0"]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z0", ["nan", "inf", "-inf"])
+def test_cli_series_at_a_non_finite_z0_is_usage_error(tmp_path, capsys, z0):
+    out = tmp_path / "o.tt3a"
+    rc = main(["apply", str(FIXTURES / "tube4.txt"), "--fn", "exp", "--method", "series",
+               f"--z0={z0}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: expansion point z0 = {float(z0)} is not finite\n"
+    assert not out.exists()
 
 
 def test_cli_check_unknown_class(tmp_path, capsys):
