@@ -52,7 +52,7 @@ def cmd_decompose(args):
     tio.write_tensor(f"{prefix}_S.tt3a", s, text=args.text)
     tio.write_tensor(f"{prefix}_V.tt3a", v, text=args.text)
     print(f"reconstruction residual: {residual:.3e}{rank_line}")
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         print("error: factors fail to reconstruct the input", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

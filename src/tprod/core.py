@@ -229,8 +229,19 @@ def block(rows) -> Tensor3:
 
 
 def fnorm(a: Tensor3) -> float:
-    """Frobenius norm of bcirc(a), i.e. sqrt(p) times the entrywise norm."""
-    return float(np.sqrt(a.p) * np.linalg.norm(a.data))
+    """Frobenius norm of bcirc(a), i.e. sqrt(p) times the entrywise norm.
+
+    Safe over the whole finite range: where the squared entries overflow to
+    inf or underflow to 0, the norm is taken again on the entries scaled by
+    the largest.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.sqrt(a.p) * np.linalg.norm(a.data))
+        if norm == np.inf or norm == 0.0:
+            top = float(np.abs(a.data).max())
+            if 0.0 < top < np.inf:
+                norm = top * float(np.sqrt(a.p) * np.linalg.norm(a.data / top))
+    return norm
 
 
 def specnorm(a: Tensor3) -> float:

@@ -84,7 +84,7 @@ _CLOSED_FORM_LIMIT = 1e-14
 _PADE_MADDS = 16
 
 
-def _power_series(series, x, one, mul, norm, cap, rtol):
+def _power_series(series, x, one, mul, cap=_SERIES_CAP, rtol=_SERIES_RTOL):
     """Sum series.coeff(k) x^k for k = 0..cap: ``(sum, tail, peak)``.
 
     A finite series is summed exactly to its degree, with ``tail`` 0. An
@@ -94,21 +94,22 @@ def _power_series(series, x, one, mul, norm, cap, rtol):
     relative size of the last two terms, so with ``cap >= 2`` the sum
     settled exactly when ``tail <= rtol``. ``peak`` is the largest term
     size: the sum's rounding error is about eps * peak. ``one`` is x^0 and
-    ``mul(pw, x)`` the next power. An overflowed sum returns an infinite ``tail``.
+    ``mul(pw, x)`` the next power. Every sum and term is sized by its
+    largest entry (:func:`_max_abs`). An overflowed sum returns an infinite ``tail``.
     """
     last = cap if series.degree is None else min(series.degree, cap)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         acc, pw = complex(series.coeff(0)) * one, one
-        ratio, tail, peak = 0.0, np.inf, norm(acc)
+        ratio, tail, peak = 0.0, np.inf, _max_abs(acc)
         for k in range(1, last + 1):
             pw = mul(pw, x)
             term = complex(series.coeff(k)) * pw
             acc = acc + term
-            size = norm(acc)
+            size = _max_abs(acc)
             if not np.isfinite(size):
                 # an overflowed power or sum never settles
                 return acc, np.inf, np.inf
-            term_size = norm(term)
+            term_size = _max_abs(term)
             prev, ratio = ratio, term_size / max(size, 1e-300)
             tail, peak = max(ratio, prev), max(peak, term_size)
             if series.degree is None and k > 1 and prev <= rtol and ratio <= rtol:
@@ -143,8 +144,7 @@ class Series:
         z = np.asarray(z, dtype=np.complex128)
         if np.any(np.abs(z) >= self.radius):
             raise RadiusViolation(f"|z| up to {np.abs(z).max():.3g} >= radius {self.radius:.3g}")
-        acc, tail, _ = _power_series(self, z, np.ones_like(z), np.multiply, _max_abs,
-                                     _SERIES_CAP, _SERIES_RTOL)
+        acc, tail, _ = _power_series(self, z, np.ones_like(z), np.multiply)
         if not tail <= _SERIES_RTOL:
             raise SeriesDivergence(f"series did not settle within {_SERIES_CAP} terms")
         return acc
@@ -345,8 +345,7 @@ def _matrix_series(d, f, face_index):
         raise SeriesDivergence(f"face {face_index}: eigenvalue spread {spread:.3g} about the "
                                f"mean >= series radius {series.radius:.3g}")
     eye = np.eye(n, dtype=np.complex128)
-    acc, tail, peak = _power_series(series, d - mu * eye, eye, np.matmul, _max_abs,
-                                    _SERIES_CAP, _SERIES_RTOL)
+    acc, tail, peak = _power_series(series, d - mu * eye, eye, np.matmul)
     if not tail <= _SERIES_RTOL:
         raise SeriesDivergence(f"face {face_index}: series did not settle in {_SERIES_CAP} terms")
     err = _EPS * peak / max(_max_abs(acc), 1e-300)
@@ -584,7 +583,7 @@ def gfun_taylor(a: Tensor3, f: ScalarFn, z0=0.0, max_terms=_SERIES_CAP, tol=1e-1
     def taylor_sum(x):
         shifted = x.astype(np.complex128) - z0
         acc, tail, _ = _power_series(series, shifted, np.ones_like(shifted), np.multiply,
-                                     np.linalg.norm, max_terms, tol)
+                                     max_terms, tol)
         # a vanishing coefficient can make the very last term tiny while the
         # series still diverges, so judge the last two terms together
         if not tail <= 100 * tol:

@@ -499,18 +499,17 @@ class TCsvd:
     uf: np.ndarray
     vhf: np.ndarray
     half: bool
-    rank_cutoff: float
 
-    @cached_property
-    def _phases(self):
-        """:func:`_fix_phases`'s phases for :attr:`Ur`, :attr:`Vr`; rebuilds keep LAPACK's."""
-        return _unit_phase(self.uf, -2)
+    def _factor(self, left):
+        """Ur (``left``) or Vr: :func:`_fix_phases` on copies, as rebuilds keep LAPACK's frames."""
+        if self.r == 0:
+            return Tensor3(np.zeros((self.p, self.m if left else self.n, 1)))
+        uf, vhf = _fix_phases(self.uf.copy(), self.vhf.copy())
+        return from_faces(uf if left else _ct(vhf), self.p, self.half)
 
     @cached_property
     def Ur(self) -> Tensor3:
-        if self.r == 0:
-            return Tensor3(np.zeros((self.p, self.m, 1)))
-        return from_faces(self.uf * self._phases.conj(), self.p, self.half)
+        return self._factor(True)
 
     @cached_property
     def Sr(self) -> Tensor3:
@@ -521,9 +520,7 @@ class TCsvd:
 
     @cached_property
     def Vr(self) -> Tensor3:
-        if self.r == 0:
-            return Tensor3(np.zeros((self.p, self.n, 1)))
-        return from_faces(_ct(self.vhf * self._phases[..., 0, :, None]), self.p, self.half)
+        return self._factor(False)
 
     @cached_property
     def full_frames(self):
@@ -581,7 +578,7 @@ def csvd_faces(faces, p, half) -> TCsvd:
     sigma = s[:, :r].copy()
     sigma[sigma <= cutoff] = 0.0
     return TCsvd(m=m, n=n, p=p, r=r, face_ranks=ranks, sigma=sigma, uf=uf[:, :, :r],
-                 vhf=vhf[:, :r, :], half=half, rank_cutoff=cutoff)
+                 vhf=vhf[:, :r, :], half=half)
 
 
 def tcsvd(a: Tensor3) -> TCsvd:

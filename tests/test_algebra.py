@@ -97,6 +97,12 @@ def test_is_unitary():
     assert is_unitary(make_pseudo(2, 2, 3))
 
 
+def test_a_non_square_tensor_is_not_unitary():
+    # 3 x 2 slices with orthonormal columns: q^H * q is the identity, q * q^H is not
+    q = Tensor3(np.concatenate([np.eye(3)[:, :2][None], np.zeros((3, 3, 2))]))
+    assert not is_unitary(q)
+
+
 def test_unknown_tprod_method_is_usage_error(rng):
     a = rand3(rng, 2, 2, 3)
     with pytest.raises(InvalidArgument, match="unknown method 'blas'") as exc:

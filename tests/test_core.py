@@ -158,6 +158,29 @@ def test_fnorm_matches_bcirc(rng):
     assert abs(fnorm(a) - np.linalg.norm(bcirc(a))) <= 1e-12 * fnorm(a)
 
 
+def test_fnorm_common_path_is_one_norm_call(rng):
+    for a in (rand3(rng, 3, 2, 4), rand3(rng, 3, 2, 4, cplx=True), identity(3, 4)):
+        assert fnorm(a) == float(np.sqrt(a.p) * np.linalg.norm(a.data))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-165, 1e-200], ids=str)
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_fnorm_is_safe_over_the_finite_range(rng, scale, cplx):
+    # the squared entries overflow to inf or underflow to 0; the unit-scale norm does not
+    a = rand3(rng, 3, 2, 4, cplx=cplx)
+    want = fnorm(a) * scale
+    got = fnorm(scale * a)
+    assert np.isfinite(got) and abs(got - want) <= 1e-14 * want
+    # the Frobenius norm of bcirc bounds its spectral norm
+    assert got >= specnorm(scale * a) * (1 - 1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fnorm_of_a_norm_beyond_the_largest_float_is_inf():
+    assert fnorm(Tensor3(np.full((2, 2, 2), 1e308))) == np.inf
+
+
 def test_is_real_predicate(rng):
     a = rand3(rng, 2, 2, 2)
     assert a.is_real() and a.exactly_real

@@ -268,6 +268,31 @@ def test_standard_tfn_real_in_real_out_on_every_path(rng, p):
             assert standard_tfn(a, f).exactly_real
 
 
+def _exp_of_complex_only(z):
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        raise TypeError("complex arguments only")
+    return np.exp(z)
+
+
+def test_standard_tfn_of_an_f_whose_real_probe_raises_takes_the_full_spectrum(rng, monkeypatch):
+    from tprod import genfun
+
+    calls, to_faces = [], genfun.to_faces
+
+    def spy(*tensors, allow_half=True):
+        calls.append(allow_half)
+        return to_faces(*tensors, allow_half=allow_half)
+
+    monkeypatch.setattr(genfun, "to_faces", spy)
+    a = rand3(rng, 3, 3, 4)
+    out = standard_tfn(a, scalar_fn(_exp_of_complex_only, 1.0, name="exp_of_complex"))
+    assert calls == [False]
+    faces = np.fft.fft(a.data, axis=0)
+    want = np.fft.ifft(np.stack([scipy.linalg.expm(d) for d in faces]), axis=0)
+    assert np.abs(out.data - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_standard_sqrt_of_a_negative_scalar_is_imaginary():
     # face 0 is its own conjugate partner, so an imaginary f(face 0) must survive
     out = standard_tfn(Tensor3([[[-4.0]]]), named_scalar_fn("sqrt"))
@@ -544,6 +569,17 @@ def test_cli_series_route_of_ln1p_off_zero(tmp_path, capsys):
     assert float(capsys.readouterr().out.split("cross-check vs spectral:")[1]) <= 1e-10
 
 
+def test_cli_series_route_about_359_of_360(tmp_path, capsys):
+    src, out = tmp_path / "t.txt", tmp_path / "x.tt3a"
+    write_tensor(src, Tensor3([[[360.0]]]), text=True)
+    cmd = ["apply", str(src), "--fn", "exp", "--method", "series", "--z0", "359", "--out", str(out)]
+    assert main(cmd) == 0
+    log = capsys.readouterr()
+    assert log.err == ""
+    assert float(log.out.split("cross-check vs spectral:")[1]) <= 1e-13
+    assert np.isfinite(read_tensor(out).data).all()
+
+
 def test_taylor_zero_tensor():
     out = gfun_taylor(Tensor3.zeros(2, 2, 3), SIN, z0=0.0)
     assert fnorm(out) == 0.0
@@ -588,6 +624,27 @@ def test_taylor_overflow_is_no_convergence():
     # back as NaN
     with pytest.raises(NoConvergence):
         gfun_taylor(Tensor3([[[100.0]]]), EXP, max_terms=160)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [360.0, 400.0, 700.0])
+def test_taylor_sizes_terms_whose_squares_overflow(s):
+    # e^(s - 1) / k! is finite, its square is not: each term is sized by its largest entry
+    a = Tensor3([[[s]]])
+    want = gfun(a, EXP).data[0, 0, 0]
+    got = gfun_taylor(a, EXP, z0=s - 1).data[0, 0, 0]
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_taylor_about_singular_values_near_360(rng):
+    # faces D0 = A0 + A1 and D1 = A0 - A1 whose singular values lie within 0.5 of 360
+    a0, a1 = np.diag([360.2, 359.8, 360.0]), 0.05 * rng.standard_normal((3, 3))
+    a = Tensor3(np.stack([a0, a1]))
+    sigma = tcsvd(a).sigma
+    assert np.abs(sigma - 360.0).max() < 0.5
+    want = gfun(a, EXP)
+    assert fnorm(gfun_taylor(a, EXP, z0=360.0) - want) <= 1e-13 * fnorm(want)
 
 
 @pytest.mark.parametrize("fn", ["exp", "sin", "cosh"])

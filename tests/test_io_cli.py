@@ -264,6 +264,38 @@ def test_cli_decompose_reports_the_residual_then_the_compact_rank(tmp_path, caps
     assert lines[1:] == tail
 
 
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_cli_info_prints_a_finite_fnorm_near_1e160(tmp_path, capsys, rng, cplx):
+    a = rand3(rng, 3, 3, 4, cplx=cplx)
+    path = tmp_path / "big.tt3a"
+    write_tensor(path, 1e160 * a)
+    assert main(["info", str(path)]) == 0
+    out, err = capsys.readouterr()
+    got = float(re.search(r"^fnorm: (\S+)$", out, re.M).group(1))
+    assert abs(got - 1e160 * fnorm(a)) <= 1e-11 * 1e160 * fnorm(a)
+    assert err == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--compact"]], ids=["full", "compact"])
+def test_cli_decompose_near_1e200_reports_a_finite_residual(tmp_path, capsys, rng, flags):
+    src = tmp_path / "big.tt3a"
+    write_tensor(src, 1e200 * rand3(rng, 3, 3, 4))
+    assert main(["decompose", str(src), *flags, "--out-prefix", str(tmp_path / "c")]) == 0
+    out, err = capsys.readouterr()
+    assert float(out.splitlines()[0].split(":")[1]) <= 1e-12
+    assert err == ""
+
+
+def test_cli_decompose_with_a_nan_residual_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a residual that is not a number has not shown that the factors reconstruct the input
+    monkeypatch.setattr("tprod.cli.fnorm", lambda t: float("nan"))
+    assert main(["decompose", str(FIXTURES / "csvd_example.txt"),
+                 "--out-prefix", str(tmp_path / "c")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "reconstruction residual: nan\n"
+    assert err == "error: factors fail to reconstruct the input\n"
+
+
 def test_cli_decompose_p1_matrix_case(tmp_path, capsys, rng):
     a = rand3(rng, 4, 3, 1)
     src = tmp_path / "m.tt3a"

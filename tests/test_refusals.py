@@ -6,6 +6,7 @@ import pytest
 from tprod import (
     ConeSpec,
     FormKind,
+    ScalarFn,
     StructClass,
     Tensor3,
     bcirc_inv,
@@ -90,6 +91,20 @@ def test_class_refusals_raise_unsupported_class(call, match):
 def test_preservation_check_refuses_a_function_outside_its_hypothesis(cls, fn, match):
     with pytest.raises(HypothesisViolation, match=match):
         preservation_check(cls, fn, trials=1)
+
+
+def _cube_of_nonnegatives(x):
+    if (np.asarray(x).real < 0).any():
+        raise ValueError("negative argument")
+    return np.asarray(x) ** 3
+
+
+def test_preservation_check_refuses_an_odd_class_function_that_raises_on_negatives():
+    f = ScalarFn(_cube_of_nonnegatives, 0.0, name="cube_of_nonnegatives")
+    with pytest.raises(HypothesisViolation, match="^cube_of_nonnegatives is not evaluable at "
+                       "negatives$") as exc:
+        preservation_check("symmetric", f, trials=1)
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("f, match", [

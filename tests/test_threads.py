@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -305,3 +306,56 @@ def test_products_inside_a_threaded_slice_start_no_helpers(rng, monkeypatch):
         child.join()
         pytest.fail("a product inside a threaded slice waited on the face threads")
     assert child.exitcode == 0
+
+
+def test_cpus_fall_back_to_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert spectral._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectral._cpus() == 1
+
+
+def _two_threads_take_slices():
+    # True when a helper thread and the calling thread each took one of the two slices
+    names = []
+    both = threading.Event()
+
+    def work(part):
+        names.append(threading.current_thread().name)
+        if len(set(names)) == 2:
+            both.set()
+        both.wait(10)
+
+    spectral._each_slice(64, 16 * 16, work)
+    return both.is_set() and any(name.startswith("tprod-faces") for name in names)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_forked_child_runs_a_threaded_slice_after_the_parent_started_the_pool(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert _two_threads_take_slices()
+    parent_pool = spectral._pool
+    assert parent_pool is not None
+    pid = os.fork()
+    if pid == 0:
+        # the child: whatever happens, leave without running the parent's test teardown
+        code = 1
+        try:
+            fresh = spectral._pool is None
+            code = 0 if fresh and _two_threads_take_slices() and spectral._pool is not parent_pool \
+                else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in the face threads")
+        time.sleep(0.02)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
