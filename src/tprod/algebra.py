@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import Tensor3, bcirc, conj_transpose, fold, transpose, unfold
 from .errors import DimMismatch, InvalidArgument, Singular
-from .spectral import (_ct, _matmul, _parseval_norm, _per_face, _svdvals, default_rank_rtol,
-                       from_faces, to_faces)
+from .spectral import (_certified_inverse, _ct, _face_norms, _matmul, _parseval_norm,
+                       _per_face, _svdvals, default_rank_rtol, from_faces, to_faces)
 
 
 def first_slice(mat, p) -> Tensor3:
@@ -44,22 +44,28 @@ def tprod(a: Tensor3, b: Tensor3, method="fft") -> Tensor3:
 def inverse(a: Tensor3) -> Tensor3:
     """T-product inverse of an F-square tensor.
 
-    Raises :class:`Singular` (with the worst face index and its smallest
-    singular value) when any DFT face is numerically singular.
+    The face inverses come from :func:`tprod.spectral._certified_inverse`
+    when it vouches for them. Otherwise the faces' singular values decide:
+    :class:`Singular` (with the worst face index and its smallest singular
+    value) when any DFT face is numerically singular under the rank cutoff
+    of :func:`default_rank_rtol`, else one batched ``np.linalg.inv``.
     """
     if a.m != a.n:
         raise DimMismatch(f"inverse needs an F-square tensor, got {a.shape}")
     half, (faces,) = to_faces(a)
-    sv = _svdvals(faces)
-    smin_per_face = sv[:, -1]
-    worst = int(np.argmin(smin_per_face))
-    if smin_per_face[worst] <= default_rank_rtol(a.m, a.n, a.p) * float(sv.max()):
-        raise Singular(
-            f"face {worst} is singular (min singular value {smin_per_face[worst]:.3e})",
-            face=worst,
-            smin=float(smin_per_face[worst]),
-        )
-    return from_faces(_per_face(np.linalg.inv, (faces,), ((a.n, a.n), faces.dtype)), a.p, half)
+    inv = _certified_inverse(faces, a.p)
+    if inv is None:
+        sv = _svdvals(faces)
+        smin_per_face = sv[:, -1]
+        worst = int(np.argmin(smin_per_face))
+        if smin_per_face[worst] <= default_rank_rtol(a.m, a.n, a.p) * float(sv.max()):
+            raise Singular(
+                f"face {worst} is singular (min singular value {smin_per_face[worst]:.3e})",
+                face=worst,
+                smin=float(smin_per_face[worst]),
+            )
+        inv = _per_face(np.linalg.inv, (faces,), ((a.n, a.n), faces.dtype))
+    return from_faces(inv, a.p, half)
 
 
 def is_unitary(q: Tensor3, tol=1e-10) -> bool:
@@ -71,7 +77,7 @@ def is_unitary(q: Tensor3, tol=1e-10) -> bool:
         return False
     half, (faces,) = to_faces(q)
     eye = np.eye(q.n)
-    return all(_parseval_norm(np.linalg.norm(g - eye, axis=(1, 2)), q.p, half) <= tol
+    return all(_parseval_norm(_face_norms(g - eye), q.p, half) <= tol
                for g in (_matmul(_ct(faces), faces), _matmul(faces, _ct(faces))))
 
 

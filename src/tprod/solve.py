@@ -1,9 +1,13 @@
 """Moore-Penrose inverse, least squares, tensor equations, and contour oracles.
 
 The production paths work on the DFT faces (Kilmer & Martin 2011): pinv,
-lstsq and solve_axb transform each operand, apply the face pseudoinverses
-A_k^+ = V_k S_k^+ U_k^H of one batched SVD per operand and take one inverse
-transform; solve_axb's residual is read on the faces by Parseval. The
+lstsq and solve_axb transform each operand, apply its face pseudoinverses
+and take one inverse transform. A square operand whose faces a certificate
+proves of full rank under the library's rank cutoff, and of condition at
+most 1e8, has A_k^+ = A_k^-1: one batched LU inverse, or adj/det on 2x2
+faces (:func:`tprod.spectral._certified_inverse`). Every other operand
+takes A_k^+ = V_k S_k^+ U_k^H from one batched SVD. solve_axb's residual
+is read on the faces by Parseval, safe over the finite range. The
 Cauchy-integral forms are implemented as independent cross-checks:
 trapezoidal quadrature on circles, which converges geometrically for
 analytic integrands. The resolvent is linear in its values 1/(z - sigma),
@@ -13,7 +17,9 @@ closed disc, as the Cauchy formula assumes; a circle then adds nothing to a
 value it does not enclose, so each value is summed over the nodes of its
 own circle only. Dropping the other circles' roundoff, on scaled Gaussian
 8x8x64 input, took gfun_contour from up to 6e-14 to 3e-16 of gfun, and
-pinv_contour from up to 1e-14 to 3e-16 of pinv.
+pinv_contour from up to 1e-14 to 3e-16 of the SVD route's pseudoinverse
+Vr * Sr^-1 * Ur^H, whose frames it shares (pinv itself takes the face
+inverses of those faces, within 1e-14 of it).
 
 An explicit ``nodes=`` (or ``contour=``) is used exactly. Without one, a
 resolvent oracle picks its own node count by halving. One pass over N = 64
@@ -57,8 +63,9 @@ from .errors import (
     ZeroSingularValue,
 )
 from .genfun import _looks_real_analytic, _require_f_zero
-from .spectral import (_CHUNK, _EPS, TCsvd, _matmul, _parseval_norm, _per_face, csvd_faces,
-                       from_faces, isometry, require_finite, tcsvd, to_faces)
+from .spectral import (_CHUNK, _EPS, TCsvd, _certified_inverse, _face_norms, _matmul,
+                       _parseval_norm, _per_face, csvd_faces, from_faces, isometry,
+                       require_finite, tcsvd, to_faces)
 
 DEFAULT_NODES = 256
 # the node-count choice: start, accept at (error estimate)^2 <= _ACCEPT, refuse above _REFUSE
@@ -73,14 +80,28 @@ _COEF_FLOOR = 8 * _EPS
 
 
 def _pinv_faces(a: Tensor3, half):
-    """Faces of A^+ = Vr * Sr^+ * Ur^H; the faces of A live only through their SVD."""
-    c = csvd_faces(to_faces(a, allow_half=half)[1][0], a.p, half)
+    """Faces of A^+: the face inverses where :func:`_certified_inverse` vouches for them.
+
+    Those faces all have full rank under the library's cutoff, so A^+ is
+    their inverse. Any other operand, non-square ones included, takes
+    A^+ = Vr * Sr^+ * Ur^H from one batched SVD, and its faces live only
+    through that SVD.
+    """
+    faces = to_faces(a, allow_half=half)[1][0]
+    inv = _certified_inverse(faces, a.p) if a.m == a.n else None
+    if inv is not None:
+        return inv
+    c = csvd_faces(faces, a.p, half)
     inv = np.divide(1.0, c.sigma, out=np.zeros(c.sigma.shape), where=c.sigma > 0.0)
     return c.rebuild_faces(inv, adjoint=True)[0]
 
 
 def pinv(a: Tensor3) -> Tensor3:
-    """Moore-Penrose inverse Vr * Sr^+ * Ur^H: the four Penrose identities hold (T-product)."""
+    """Moore-Penrose inverse: the four Penrose identities hold (T-product).
+
+    The face inverses when every face is certified of full rank (see
+    :func:`_pinv_faces`), else Vr * Sr^+ * Ur^H.
+    """
     return from_faces(_pinv_faces(a, a.exactly_real), a.p, a.exactly_real)
 
 
@@ -140,7 +161,7 @@ def _residual_norms(fa, xf, fb, df):
     """Frobenius norms of (A X) B - D and of D on every face."""
     rf = _matmul(_matmul(fa, xf), fb)
     rf -= df
-    return np.linalg.norm(rf, axis=(1, 2)), np.linalg.norm(df, axis=(1, 2))
+    return _face_norms(rf), _face_norms(df)
 
 
 @dataclass

@@ -19,8 +19,9 @@ numpy's ``@`` makes one BLAS call per face, which costs more than the
 arithmetic of a small face, so an inner dimension of 1 or 2 is formed as
 broadcast multiply-adds over the whole stack; from 3 up those lose on short
 stacks, and ``@`` stays. For the same reason a stack of complex 2x2 faces is
-factored by :func:`_svd2x2`, one closed-form Jacobi rotation per face, in
-place of one LAPACK SVD per face; larger faces keep LAPACK. A face-product
+factored by :func:`_svd2x2`, one closed-form Jacobi rotation per face, and
+inverted by :func:`_inv2x2`, in place of one LAPACK call per face; larger
+faces keep LAPACK. A face-product
 chain (a product in :func:`_matmul`, the scale-multiply-transpose of
 :meth:`TCsvd.rebuild_faces` behind pinv, gfun and isometry,
 :func:`projectors`, and the solution and residual of ``solve_axb``) runs
@@ -266,14 +267,7 @@ def _svd2x2(faces):
     overhead costs more than a 2x2 face's arithmetic.
     """
     h = len(faces)
-    # the largest real or imaginary part of each face, taken row by row: numpy's
-    # reductions over an axis of 8 cost more than seven maximums of h values
-    _, e = np.frexp(reduce(np.maximum, np.abs(faces.view(np.float64)).reshape(h, 8).T))
-    # below 2^-1020 (subnormal parts) 2^-e would overflow; 2^1020 still lifts the
-    # smallest subnormal, 2^-1074, to 2^-54, where the Gram entries are normal
-    np.maximum(e, -1020, out=e)
-    # (2, 2, h): each entry of every face as one contiguous row of h
-    a = np.multiply(np.moveaxis(faces, 0, -1), np.ldexp(1.0, -e), order="C")
+    a, e = _unit_scaled(faces)
     sq = a.real * a.real + a.imag * a.imag
     alpha, beta = sq[0, 0] + sq[1, 0], sq[0, 1] + sq[1, 1]
     gamma = a[0, 0].conj() * a[0, 1] + a[1, 0].conj() * a[1, 1]
@@ -309,6 +303,73 @@ def _svd2x2(faces):
     return u, np.ldexp(np.stack([s1, s2], axis=1), e[:, None]), vh
 
 
+def _unit_scaled(faces):
+    """``(a, e)`` for a finite (h, 2, 2) complex stack: face k is 2^e[k] times a[:, :, k].
+
+    e is the exponent of the face's largest real or imaginary part, at least
+    -1020, so every part of a is below 1 and the products of two parts stay
+    normal unless a face is far from full rank. a is (2, 2, h): each entry of
+    every face as one contiguous row of h.
+    """
+    h = len(faces)
+    # the largest real or imaginary part of each face, taken row by row: numpy's
+    # reductions over an axis of 8 cost more than seven maximums of h values
+    _, e = np.frexp(reduce(np.maximum, np.abs(faces.view(np.float64)).reshape(h, 8).T))
+    # below 2^-1020 (subnormal parts) 2^-e would overflow; 2^1020 still lifts the
+    # smallest subnormal, 2^-1074, to 2^-54, where the Gram entries are normal
+    np.maximum(e, -1020, out=e)
+    return np.multiply(np.moveaxis(faces, 0, -1), np.ldexp(1.0, -e), order="C"), e
+
+
+def _inv2x2(faces):
+    """Inverse of every face of a finite (h, 2, 2) complex stack, as adj(A) / det(A).
+
+    Each face is scaled by :func:`_unit_scaled` first, so det neither
+    overflows nor underflows on a face of moderate condition. A singular
+    face gives entries that are not finite; the caller judges them. The
+    operations run on the whole stack at once, on the calling thread, as in
+    :func:`_svd2x2`.
+    """
+    a, e = _unit_scaled(faces)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.ldexp(1.0, -e) / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        out = np.empty((len(faces), 2, 2), complex)
+        out[:, 0, 0], out[:, 0, 1] = a[1, 1] * s, -a[0, 1] * s
+        out[:, 1, 0], out[:, 1, 1] = -a[1, 0] * s, a[0, 0] * s
+    return out
+
+
+def _certified_inverse(faces, p):
+    """The inverse of every face of an (h, n, n) stack, or None where it is not certified.
+
+    A complex 2x2 stack is inverted by :func:`_inv2x2`, any other by
+    ``np.linalg.inv`` through :func:`_per_face`, counted as h n^3
+    multiply-adds against ``_PRODUCT_WORK``. The inverse X is returned only
+    when the largest entry of the faces F lies in [2^-500, 2^500], X is
+    finite, and n^2 max|X| max|F| <= min(1e8, 1e-2 / rtol), rtol the
+    :func:`default_rank_rtol` of the faces. As sigma_min(F_k) >= 1 / (n
+    max|X_k|) and sigma_max(F_k) <= n max|F|, every face then has every
+    singular value at least 100 times the rank cutoff of :func:`csvd_faces`
+    (full rank, so its pseudoinverse is its inverse) and a condition number
+    of at most 1e8. An exactly singular face (``LinAlgError``) is None too.
+    """
+    _, n, _ = faces.shape
+    top = float(np.abs(faces).max())
+    if not 2.0**-500 <= top <= 2.0**500:
+        return None
+    if _closed_form(faces):
+        inv = _inv2x2(faces)
+    else:
+        try:
+            inv = _per_face(np.linalg.inv, (faces,), ((n, n), faces.dtype),
+                            madds=len(faces) * n**3)
+        except np.linalg.LinAlgError:
+            return None
+    # a NaN or an infinity in X makes the product NaN or inf, and fails the test
+    bound = min(1e8, 1e-2 / default_rank_rtol(n, n, p))
+    return inv if n * n * float(np.abs(inv).max()) * top <= bound else None
+
+
 def _matmul(a, b):
     """``a @ b`` for face stacks; an inner dimension k of 1 to ``_BROADCAST_INNER`` skips BLAS.
 
@@ -338,11 +399,32 @@ def _parseval_norm(norms, p, half):
 
     Parseval: under the unnormalized DFT the faces' squared norms sum to
     fnorm^2. On a half spectrum faces 1..(p-1)//2 count twice, for their
-    conjugate partners.
+    conjugate partners. The norms are summed scaled by the power of two 2^e
+    next above the largest, so the squares can neither overflow nor lose the
+    largest to underflow; a power of two scales exactly, so on norms whose
+    squares are normal the result is that of the unscaled sum.
     """
     w = np.ones(len(norms))
     w[1:(p + 1) // 2] = 2.0 if half else 1.0
-    return float(np.sqrt(w @ norms ** 2))
+    e = int(np.frexp(norms.max(initial=0.0))[1])
+    return float(np.ldexp(np.sqrt(w @ np.ldexp(norms, -e) ** 2), e))
+
+
+def _face_norms(x):
+    """Frobenius norm of every face of an (h, m, n) stack, safe over the finite range.
+
+    As in :func:`tprod.core.fnorm`, one ``np.linalg.norm`` call is the
+    common path; only the faces whose norm reads inf, or 0 for a nonzero
+    face, take it again on their entries scaled by the largest.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(x, axis=(1, 2))
+        redo = np.flatnonzero((norms == np.inf) | (norms == 0.0))
+        if redo.size:
+            top = np.abs(x[redo]).max(axis=(1, 2))
+            scale = np.where((top > 0.0) & (top < np.inf), top, 1.0)[:, None, None]
+            norms[redo] = top * np.linalg.norm(x[redo] / scale, axis=(1, 2))
+    return norms
 
 
 def default_rank_rtol(m, n, p):
@@ -442,11 +524,20 @@ def _fix_phases(u, vh):
     """
     ph = _unit_phase(u, -2)
     u *= ph.conj()
-    k = min(u.shape[-1], vh.shape[-2])
+    return u, _phase_rows(vh, ph)
+
+
+def _phase_rows(vh, ph):
+    """The rows of ``vh`` scaled in place as :func:`_fix_phases` scales them for phases ``ph``.
+
+    ``ph`` is ``_unit_phase(u, -2)`` of the left vectors u. A row with a left
+    partner takes its partner's phase; any other row its own largest entry's.
+    """
+    k = min(ph.shape[-1], vh.shape[-2])
     vh[..., :k, :] *= ph[..., 0, :k, None]
     if vh.shape[-2] > k:
         vh[..., k:, :] *= _unit_phase(vh[..., k:, :], -1).conj()
-    return u, vh
+    return vh
 
 
 def _embed_diag(s, m, n):
@@ -501,11 +592,16 @@ class TCsvd:
     half: bool
 
     def _factor(self, left):
-        """Ur (``left``) or Vr: :func:`_fix_phases` on copies, as rebuilds keep LAPACK's frames."""
+        """Ur (``left``) or Vr, phased as :func:`_fix_phases` would phase it.
+
+        The phases come from ``uf`` and go onto a copy of the one frame
+        returned, as rebuilds keep LAPACK's frames.
+        """
         if self.r == 0:
             return Tensor3(np.zeros((self.p, self.m if left else self.n, 1)))
-        uf, vhf = _fix_phases(self.uf.copy(), self.vhf.copy())
-        return from_faces(uf if left else _ct(vhf), self.p, self.half)
+        ph = _unit_phase(self.uf, -2)
+        frame = self.uf * ph.conj() if left else _ct(_phase_rows(self.vhf.copy(), ph))
+        return from_faces(frame, self.p, self.half)
 
     @cached_property
     def Ur(self) -> Tensor3:

@@ -32,8 +32,8 @@ from .errors import (
     UnsupportedClass,
 )
 from .genfun import ScalarFn, gfun, named_scalar_fn, standard_tfn
-from .spectral import (_ct, _matmul, _parseval_norm, default_rank_rtol, from_faces,
-                       require_finite, to_faces)
+from .spectral import (_ct, _face_norms, _matmul, _parseval_norm, default_rank_rtol,
+                       from_faces, require_finite, to_faces)
 
 _TINY = 1e-300
 
@@ -223,6 +223,16 @@ def _project_block_circulant(data, q):
     return np.moveaxis(out, -1, 0).reshape(p, n, n)
 
 
+def _scaled_down(faces):
+    """``(faces * 2^-e, e)`` for the least e >= 0 that takes every entry's modulus below 1.
+
+    A power of two scales exactly, so a product or a norm of the scaled
+    faces is that of the faces, scaled, wherever neither overflows.
+    """
+    e = max(int(np.frexp(np.abs(faces).max())[1]), 0)
+    return faces * np.ldexp(1.0, -e), e
+
+
 def membership_residual(t: Tensor3, cls: StructClass) -> float:
     """Normalized defect of the class's defining equation."""
     name = cls.name
@@ -234,19 +244,24 @@ def membership_residual(t: Tensor3, cls: StructClass) -> float:
         algebra = FORM_CLASSES[name][3]
         if algebra != "group":  # a Jordan member is its own adjoint, a Lie member its negative
             return fnorm(star - t if algebra == "jordan" else star + t) / scale
-        # the identity tensor's faces are I, and its fnorm is sqrt(n p)
+        # the identity tensor's faces are I, and its fnorm is sqrt(n p). S T - I is
+        # 2^e (S' T' - 2^-e I) for the scaled faces, whose product cannot overflow
         half, (fs, ft) = to_faces(star, t)
-        defect = np.linalg.norm(_matmul(fs, ft) - np.eye(t.n), axis=(1, 2))
-        return _parseval_norm(defect, t.p, half) / np.sqrt(t.n * t.p)
+        (fs, es), (ft, et) = _scaled_down(fs), _scaled_down(ft)
+        defect = _face_norms(_matmul(fs, ft) - np.ldexp(np.eye(t.n), -es - et))
+        with np.errstate(over="ignore"):  # a defect beyond the largest float reads inf
+            return float(np.ldexp(_parseval_norm(defect, t.p, half), es + et)) / np.sqrt(t.n * t.p)
     if name in ("centrohermitian", "skew_centrohermitian"):
         # the exchange tensors multiply slice by slice: R_m * t * R_n reverses rows and columns
         target = t.data.conj() if name == "centrohermitian" else -t.data.conj()
         return fnorm(Tensor3(t.data[:, ::-1, ::-1] - target)) / scale
     if name == "normal":
+        # the ratio does not change with the scale, and the scaled grams cannot overflow
         half, (faces,) = to_faces(t)
+        faces = _scaled_down(faces)[0]
         gram = _matmul(faces, _ct(faces))
-        gram_norms = np.linalg.norm(gram, axis=(1, 2))
-        defect = np.linalg.norm(gram - _matmul(_ct(faces), faces), axis=(1, 2))
+        gram_norms = _face_norms(gram)
+        defect = _face_norms(gram - _matmul(_ct(faces), faces))
         return _parseval_norm(defect, t.p, half) / max(_parseval_norm(gram_norms, t.p, half), _TINY)
     if name in ("f_circulant", "f_block_circulant"):
         proj = _project_block_circulant(t.data, cls.q or 1)
@@ -559,7 +574,7 @@ def cone_membership(spec: ConeSpec, a: Tensor3, tol=1e-8):
     # faces k and p - k share their real diagonal, so real operands project on the half spectrum
     half, (fu, fa, fv) = to_faces(spec.U, a, spec.V)
     shat = _cone_project_faces(_matmul(_matmul(_ct(fu), fa), fv), spec.r)
-    defect = np.linalg.norm(fa - _matmul(_matmul(fu, shat), _ct(fv)), axis=(1, 2))
+    defect = _face_norms(fa - _matmul(_matmul(fu, shat), _ct(fv)))
     residual = _parseval_norm(defect, a.p, half) / max(fnorm(a), _TINY)
     return residual <= tol, residual
 

@@ -796,8 +796,12 @@ def test_contour_oracles_keep_their_digits_on_scaled_8x8x64(seed):
         f = named_scalar_fn(name)
         want = gfun(a, f)
         assert fnorm(gfun_contour(a, f) - want) <= 5e-15 * fnorm(want), name
-    want = pinv(a)
+    # the oracle approximates the SVD route's pseudoinverse, whose frames it shares; pinv
+    # takes the face inverses of these invertible faces, a few eps away from it
+    c = tcsvd(a)
+    want = c.rebuild(1.0 / c.sigma, adjoint=True)
     assert fnorm(pinv_contour(a) - want) <= 2e-15 * fnorm(want)
+    assert fnorm(pinv(a) - want) <= 1e-13 * fnorm(want)
 
 
 def _brute_guard(c, z):
