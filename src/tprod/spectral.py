@@ -471,8 +471,12 @@ def to_faces(*tensors, allow_half=True):
     """
     require_finite(*tensors)
     half = allow_half and all(t.exactly_real for t in tensors)
-    fft = np.fft.rfft if half else np.fft.fft
-    return half, [_along_tubes(fft, t.data, t.p, np.complex128) for t in tensors]
+    return half, [_faces_of(t, half) for t in tensors]
+
+
+def _faces_of(t, half):
+    """The :func:`to_faces` stack of one operand whose finiteness the caller has checked."""
+    return _along_tubes(np.fft.rfft if half else np.fft.fft, t.data, t.p, np.complex128)
 
 
 def require_finite(*tensors):

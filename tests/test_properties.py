@@ -41,6 +41,7 @@ from tprod import (
     tsvd,
     zero_slice_check,
 )
+from tprod import solve
 from tprod.structure import ENTRYWISE_CLASSES, FORM_CLASSES, TABLE2_CLASSES
 
 from conftest import dense_gmf, rand_face_ranks
@@ -299,3 +300,54 @@ def test_standard_fn_contour_default_matches_standard_tfn(at, top, name):
     f = named_scalar_fn(name)
     want = standard_tfn(a, f)
     assert fnorm(standard_fn_contour(a, f) - want) <= 1e-12 * max(fnorm(want), 1.0)
+
+
+_FAMILIES = ("gaussian", "triangular", "nilpotent", "rotated", "jordan", "stochastic", "zero")
+
+
+@st.composite
+def radius_stacks(draw):
+    """Complex (h, n, n) stacks of one family, scaled from subnormal to 1e300 entries.
+
+    Triangular faces carry off-diagonals up to 1e7 times their diagonal, nilpotent
+    ones are strictly upper triangular, rotated ones are nilpotent in a random
+    unitary basis (LAPACK's eigenvalues are then far from 0, while the powers are
+    rounding), and Jordan ones have 100 on the superdiagonal. Stochastic faces,
+    nonnegative rows that sum to 1 turned by a phase, have ||M^16|| = rho^16: the
+    bound is tight there.
+    """
+    h, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    family = draw(st.sampled_from(_FAMILIES))
+    scale = draw(st.sampled_from([1e-320, 1e-300, 1e-100, 1.0, 1e100, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss():
+        return rng.standard_normal((h, n, n)) + 1j * rng.standard_normal((h, n, n))
+
+    g = gauss()
+    diag = g * np.eye(n)
+    if family == "gaussian":
+        faces = g
+    elif family == "triangular":
+        faces = 10.0 ** draw(st.floats(0.0, 7.0)) * np.triu(g, 1) + diag
+    elif family == "nilpotent":
+        faces = np.triu(g, 1)
+    elif family == "rotated":
+        q = np.linalg.qr(gauss())[0]
+        faces = q @ np.triu(g, 1) @ q.conj().transpose(0, 2, 1)
+    elif family == "jordan":
+        faces = diag[:, :1, :1] * np.eye(n) + 100.0 * np.eye(n, k=1)
+    elif family == "stochastic":
+        faces = np.abs(g) / np.abs(g).sum(axis=2, keepdims=True) * np.exp(1j * np.angle(g[:, :1, :1]))
+    else:
+        faces = 0.0 * g
+    return scale * faces
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(radius_stacks())
+def test_radius_bounds_are_at_least_the_spectral_radius(faces):
+    u = solve._radius_bounds(faces)
+    rho = np.abs(np.linalg.eigvals(faces)).max(axis=1)
+    assert u.shape == rho.shape and (u >= rho).all()
+    assert (u[~faces.any(axis=(1, 2))] == 0.0).all()

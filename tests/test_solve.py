@@ -949,14 +949,19 @@ def test_contour_oracles_stay_complex_off_the_real_axis(rng):
 def test_standard_fn_contour_runs_on_the_half_spectrum_of_real_input(rng, monkeypatch, p):
     seen = {}
     to_faces, from_faces, eigvals = solve.to_faces, solve.from_faces, np.linalg.eigvals
+    radius_bounds = solve._radius_bounds
 
     def spy_to(*tensors, allow_half):
         half, stacks = to_faces(*tensors, allow_half=allow_half)
         seen["transform"] = (half, [len(s) for s in stacks])
         return half, stacks
 
+    def spy_bounds(m):
+        seen["bounds"] = len(m)
+        return radius_bounds(m)
+
     def spy_eigvals(x):
-        seen["eigvals"] = len(x)
+        seen["eigvals"] = seen.get("eigvals", 0) + len(x)
         return eigvals(x)
 
     def spy_from(faces, p, half):
@@ -965,23 +970,110 @@ def test_standard_fn_contour_runs_on_the_half_spectrum_of_real_input(rng, monkey
 
     monkeypatch.setattr(solve, "to_faces", spy_to)
     monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+    monkeypatch.setattr(solve, "_radius_bounds", spy_bounds)
     monkeypatch.setattr(solve, "from_faces", spy_from)
     a, c = _scaled(rng, 3, p, False), _scaled(rng, 3, p, True)
     vec = rand3(rng, 3, 1, p)
     exp = named_scalar_fn("exp")
     rot = scalar_fn(lambda z: 1j * np.asarray(z), 0.0, "rot")
     h = p // 2 + 1
+    # (run, default circle, half, stack lengths)
     cases = [
-        (lambda: standard_fn_contour(a, exp), True, [h]),
-        (lambda: standard_fn_contour(a, exp, b=vec), True, [h, h]),
-        (lambda: standard_fn_contour(a, exp, contour=Contour(((0j, 5.0),), 64)), True, [h]),
-        (lambda: standard_fn_contour(a, exp, contour=Contour(((0.1j, 5.0),), 64)), False, [p]),
-        (lambda: standard_fn_contour(a, rot), False, [p]),
-        (lambda: standard_fn_contour(c, exp), False, [p]),
-        (lambda: standard_fn_contour(a, exp, b=rand3(rng, 3, 1, p, cplx=True)), False, [p, p]),
+        (lambda: standard_fn_contour(a, exp), True, True, [h]),
+        (lambda: standard_fn_contour(a, exp, b=vec), True, True, [h, h]),
+        (lambda: standard_fn_contour(a, exp, contour=Contour(((0j, 5.0),), 64)), False, True, [h]),
+        (lambda: standard_fn_contour(a, exp, contour=Contour(((0.1j, 5.0),), 64)), False, False,
+         [p]),
+        (lambda: standard_fn_contour(a, rot), True, False, [p]),
+        (lambda: standard_fn_contour(c, exp), True, False, [p]),
+        (lambda: standard_fn_contour(a, exp, b=rand3(rng, 3, 1, p, cplx=True)), True, False,
+         [p, p]),
     ]
-    for run, half, lengths in cases:
+    for run, default, half, lengths in cases:
         seen.clear()
         run()
-        assert seen == {"transform": (half, lengths), "eigvals": lengths[0],
-                        "kernel": lengths[0]}
+        eigs = seen.pop("eigvals")
+        if default:
+            # the bound runs on every face, eigvals on those that can set the circle
+            assert seen.pop("bounds") == lengths[0] and 1 <= eigs <= lengths[0]
+        else:
+            assert eigs == lengths[0]
+        assert seen == {"transform": (half, lengths), "kernel": lengths[0]}
+
+
+def _all_face_spread(faces, c):
+    """max |lambda - c| from eigvals of every face: the spread before the radius bounds."""
+    return float(np.abs(np.linalg.eigvals(faces) - c).max())
+
+
+def _spread_inputs(kind, cplx):
+    """8x8x64 Gaussian and scaled Gaussian inputs, and four equal triangular faces."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            yield rand3(rng, 8, 8, 64, cplx)
+        elif kind == "scaled":
+            yield _scaled(rng, 8, 64, cplx)
+        else:
+            # the first slice alone, so that every face is d
+            data = np.zeros((4, 6, 6), dtype=np.complex128 if cplx else np.float64)
+            data[0] = 1e4 * np.triu(rand3(rng, 6, 6, 1, cplx).data[0], 1)
+            data[0] += np.diag(rng.standard_normal(6))
+            yield Tensor3(data)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "scaled", "first_slice"])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_standard_fn_contour_is_bitwise_that_of_the_all_face_spread(monkeypatch, kind, cplx):
+    exp, square = named_scalar_fn("exp"), named_scalar_fn("square")
+    for a in _spread_inputs(kind, cplx):
+        runs = [lambda: standard_fn_contour(a, exp), lambda: standard_fn_contour(a, square),
+                lambda: standard_fn_contour(a, exp, nodes=64, b=Tensor3(a.data[:, :, :1]))]
+        got = [run().data for run in runs]
+        with monkeypatch.context() as patch:
+            patch.setattr(solve, "_spread", _all_face_spread)
+            want = [run().data for run in runs]
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_standard_fn_contour_takes_eigvals_of_few_gaussian_faces(monkeypatch, cplx):
+    seen, eigvals = [], np.linalg.eigvals
+
+    def spy(x):
+        seen.append(len(x))
+        return eigvals(x)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    for a in _spread_inputs("gaussian", cplx):
+        seen.clear()
+        standard_fn_contour(a, named_scalar_fn("exp"))
+        # of 33 faces (real) or 64 (complex)
+        assert 1 <= sum(seen) <= 8
+
+
+def test_solvers_check_finiteness_once_before_any_transform(rng, monkeypatch):
+    a, b, d = _system(rng, 4, "complex")
+    checked, require_finite = [], spectral.require_finite
+
+    def spy(*tensors):
+        checked.extend(tensors)
+        return require_finite(*tensors)
+
+    monkeypatch.setattr(solve, "require_finite", spy)
+    monkeypatch.setattr(spectral, "require_finite", spy)
+    for run, count in ((lambda: solve_axb(a, b, d), 3), (lambda: lstsq(a, d), 2),
+                       (lambda: pinv(a), 1)):
+        checked.clear()
+        run()
+        assert len(checked) == count
+
+    def no_transform(*args):
+        raise AssertionError("a non-finite operand reached the transform")
+
+    monkeypatch.setattr(spectral, "_along_tubes", no_transform)
+    bad = Tensor3(np.where(np.arange(d.data.size).reshape(d.data.shape) == 5, np.nan, d.data))
+    for run in (lambda: solve_axb(a, b, bad), lambda: lstsq(a, bad), lambda: pinv(bad)):
+        with pytest.raises(NonFinite, match="holds a NaN or an infinity"):
+            run()
