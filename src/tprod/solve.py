@@ -36,10 +36,11 @@ The standard-function oracle takes one circle around every face eigenvalue.
 Its default circle needs only the largest distance of an eigenvalue from the
 centre, so ``eigvals`` runs only on the faces whose bound on the spectral
 radius, from four squarings, can reach it: on scaled Gaussian 8x8x64 input
-1 to 7 of the 33 or 64 faces. On one circle the N-node trapezoid rule is a DFT of the samples f(z_k), and
-the Neumann series of the resolvent sums in closed form, so the whole rule
-is one FFT, a matrix polynomial of degree below N and one batched solve
-(Trefethen & Weideman 2014, The exponentially convergent trapezoidal rule).
+1 to 7 of the 33 or 64 faces. On one circle the N-node trapezoid rule is a
+DFT of the samples f(z_k), and the Neumann series of the resolvent sums in
+closed form, so the whole rule is one FFT, a matrix polynomial of degree
+below N and one batched solve (Trefethen & Weideman 2014, The exponentially
+convergent trapezoidal rule).
 The polynomial stops at the last DFT coefficient above the FFT's rounding
 floor, and the solve runs only on the faces where a bound on B^N, the
 factor it removes, is above eps. On scaled Gaussian 8x8x64 input exp then
@@ -539,7 +540,7 @@ def standard_fn_contour(a: Tensor3, f, nodes=None, contour=None, b=None):
         center = complex(np.trace(a.data[0]) / a.n)
         spread = _spread(faces, center)
         # every eigenvalue is 0.3 spread + 0.1 max(spread, 1, 1e-6 (|c| + spread)) inside
-        # the circle: ten times the margin the guards below ask of an explicit contour
+        # the circle, ten times the margin an explicit contour must keep: no guard is run
         radius = 1.3 * spread + 0.1 * max(spread, 1.0, 1e-6 * (abs(center) + spread))
         contour = Contour(circles=((center, radius),), nodes_per_circle=_node_count(nodes))
     else:
