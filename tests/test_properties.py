@@ -338,7 +338,8 @@ def radius_stacks(draw):
     elif family == "jordan":
         faces = diag[:, :1, :1] * np.eye(n) + 100.0 * np.eye(n, k=1)
     elif family == "stochastic":
-        faces = np.abs(g) / np.abs(g).sum(axis=2, keepdims=True) * np.exp(1j * np.angle(g[:, :1, :1]))
+        rows = np.abs(g) / np.abs(g).sum(axis=2, keepdims=True)
+        faces = rows * np.exp(1j * np.angle(g[:, :1, :1]))
     else:
         faces = 0.0 * g
     return scale * faces
